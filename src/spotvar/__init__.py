@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .ingest import Kline, PriceSeries, parse_klines, fetch_klines
 from .variation import AlignedTriple, VariationSeries, align, compute_variation
 from .summary import PercentileTable, YearSlice, percentiles, split_years, iqr
-from .unitroot import DFModel, DFResult, ols_fit, df_test, critical_value
+from .unitroot import AR1Fit, DFModel, DFResult, ar1_regression, df_test, critical_value
 from .ou import (
     OUParams,
     TransitionParams,
-    SufficientStats,
     conditional_moments,
     simulate_path,
-    sufficient_stats,
     log_likelihood,
     mle_fit,
 )
@@ -44,17 +42,16 @@ __all__ = [
     "percentiles",
     "split_years",
     "iqr",
+    "AR1Fit",
     "DFModel",
     "DFResult",
-    "ols_fit",
+    "ar1_regression",
     "df_test",
     "critical_value",
     "OUParams",
     "TransitionParams",
-    "SufficientStats",
     "conditional_moments",
     "simulate_path",
-    "sufficient_stats",
     "log_likelihood",
     "mle_fit",
     "McConfig",

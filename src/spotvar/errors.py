@@ -38,6 +38,11 @@ class EmptyInput(DataError):
     pass
 
 
+class InvalidValue(DataError):
+    """A close that is not a positive finite number, or a non-finite
+    variation value."""
+
+
 class EmptyRange(DataError):
     pass
 

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInput,
     EmptyRange,
     GapWarning,
+    InvalidValue,
     MalformedRow,
     NetworkError,
     NonMonotonicTimestamp,
@@ -58,7 +59,7 @@ class PriceSeries:
     """Timestamp-indexed close prices for one instrument.
 
     Timestamps are strictly increasing UTC milliseconds; closes strictly
-    positive. Immutable after construction, safe to share read-only.
+    positive and finite. Immutable after construction, safe to share read-only.
     """
 
     symbol: str
@@ -77,8 +78,10 @@ class PriceSeries:
             raise NonMonotonicTimestamp(
                 f"{self.symbol}: duplicate or decreasing timestamp"
             )
-        if np.any(self.closes <= 0):
-            raise ValueError(f"{self.symbol}: non-positive close")
+        bad = np.flatnonzero(~((self.closes > 0) & (self.closes < np.inf)))  # nan too
+        if len(bad):
+            c = float(self.closes[bad[0]])
+            raise InvalidValue(f"{self.symbol}: close {c!r} at row {bad[0]} is not > 0 and finite")
 
     def __len__(self):
         return len(self.times)

@@ -4,8 +4,9 @@ The process dv = alpha*(mu - v)dt + sigma*dW has Gaussian transitions
   v_{t+h} | v_t ~ N(mu + (v_t - mu)*exp(-alpha*h),
                     sigma^2 * (1 - exp(-2*alpha*h)) / (2*alpha)),
 which gives both an exact simulator (no Euler error) and a closed-form
-maximum-likelihood estimator in terms of five pairwise sums over
-consecutive observations.
+maximum-likelihood estimator: with omega = exp(-alpha*h), v_{t+h} on v_t is
+a Gaussian AR(1), so the MLE is the least-squares regression of
+Dickey-Fuller model (b), computed by the shared core in `unitroot`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .errors import (
     InvalidParams,
     NonMeanReverting,
     NumericalBreakdown,
+    RankDeficient,
     SeriesTooShort,
 )
+from .unitroot import DFModel, ar1_regression
 
 
 @dataclass(frozen=True)
@@ -55,20 +58,6 @@ class TransitionParams:
     def validate(self):
         if not (0 < self.omega < 1 and self.cond_sd > 0):
             raise InvalidParams(f"require 0 < omega < 1 and cond_sd > 0; got {self}")
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """The five consecutive-pair sums: s0 = sum v_{i-1}, s1 = sum v_i,
-    s00 = sum v_{i-1}^2, s01 = sum v_{i-1} v_i, s11 = sum v_i^2, over
-    i = 1..n with n = len(series) - 1."""
-
-    n: int
-    s0: float
-    s1: float
-    s00: float
-    s01: float
-    s11: float
 
 
 def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
@@ -109,27 +98,6 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0):
     return out
 
 
-def _fsum(values):
-    # math.fsum is exact (Shewchuk); tolist() avoids slow ndarray iteration
-    return math.fsum(values.tolist())
-
-
-def sufficient_stats(series) -> SufficientStats:
-    """Compensated-summation sufficient statistics of consecutive pairs."""
-    v = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    if len(v) < 3:
-        raise SeriesTooShort(f"need >= 3 observations, got {len(v)}")
-    prev, curr = v[:-1], v[1:]
-    return SufficientStats(
-        n=len(v) - 1,
-        s0=_fsum(prev),
-        s1=_fsum(curr),
-        s00=_fsum(prev * prev),
-        s01=_fsum(prev * curr),
-        s11=_fsum(curr * curr),
-    )
-
-
 def log_likelihood(params: OUParams, series, dt=1.0):
     """Exact transition log-likelihood of the observed path under params."""
     params.validate()
@@ -150,54 +118,42 @@ def _log_likelihood_trans(mu, omega, cond_sd, v):
 def mle_fit(series, dt=1.0):
     """Closed-form maximum-likelihood fit.
 
-    Returns (OUParams, TransitionParams, SufficientStats). The long-term
-    mean uses denominator n*(s00 - s01) - (s0^2 - s0*s1), the form obtained
-    by solving dL/dmu = dL/dalpha = 0 jointly.
+    The exact transition law makes dv_t = c + delta*v_{t-1} + e_t a Gaussian
+    regression, so the MLE is the least-squares fit of Dickey-Fuller model
+    (b): omega = 1 + delta, mu = -c/delta, conditional variance RSS/n.
+    Returns (OUParams, TransitionParams, AR1Fit).
 
-    Raises DegenerateSeries on constant input, NonMeanReverting when the
-    implied AR coefficient is >= 1 (alpha <= 0, i.e. the data looks like a
-    random walk), NumericalBreakdown when the log argument or the
-    conditional variance is non-positive.
+    Raises SeriesTooShort below 4 observations, DegenerateSeries on
+    constant input, NonMeanReverting when omega >= 1 (alpha <= 0, i.e. the
+    data looks like a random walk), NumericalBreakdown when omega <= 0, the
+    conditional variance is non-positive or the lag is numerically constant.
     """
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    st = sufficient_stats(v)
-    n = st.n
+    if len(v) < 4:
+        raise SeriesTooShort(f"need >= 4 observations, got {len(v)}")
     if np.ptp(v) == 0:
         raise DegenerateSeries("constant series has no OU fit")
-
-    denom = n * (st.s00 - st.s01) - (st.s0**2 - st.s0 * st.s1)
-    if denom == 0:
-        raise NumericalBreakdown("zero denominator in mu solution")
-    mu = (st.s1 * st.s00 - st.s0 * st.s01) / denom
-
-    num = st.s01 - mu * st.s0 - mu * st.s1 + n * mu**2
-    den = st.s00 - 2 * mu * st.s0 + n * mu**2
-    if den <= 0:
-        raise NumericalBreakdown("non-positive variance sum around mu")
-    ratio = num / den
-    if ratio >= 1:
-        raise NonMeanReverting(f"implied AR coefficient {ratio} >= 1")
-    if ratio <= 0:
-        raise NumericalBreakdown(f"log argument {ratio} <= 0")
-
-    alpha = -math.log(ratio) / dt
-    omega = ratio
-    cond_var = (
-        st.s11
-        - 2 * omega * st.s01
-        + omega**2 * st.s00
-        - 2 * mu * (1 - omega) * (st.s1 - omega * st.s0)
-        + n * mu**2 * (1 - omega) ** 2
-    ) / n
-    if cond_var <= 0:
+    try:
+        reg = ar1_regression(v, DFModel.CONST)
+    except RankDeficient as exc:
+        raise NumericalBreakdown(f"lag is numerically constant: {exc}") from exc
+    omega = 1 + reg.delta
+    if omega >= 1:
+        raise NonMeanReverting(f"implied AR coefficient {omega} >= 1")
+    if not omega > 0:
+        raise NumericalBreakdown(f"implied AR coefficient {omega} <= 0")
+    cond_var = reg.rss / reg.n
+    if not cond_var > 0:
         raise NumericalBreakdown("non-positive conditional variance")
-    sigma2 = cond_var * 2 * alpha / (1 - omega**2)
+    alpha = -math.log1p(reg.delta) / dt
+    # 1 - omega^2 = -delta*(2 + delta), which does not cancel near omega = 1
+    sigma2 = cond_var * 2 * alpha / (-reg.delta * (2 + reg.delta))
 
-    params = OUParams(alpha=alpha, mu=mu, sigma=math.sqrt(sigma2))
+    params = OUParams(alpha=alpha, mu=-reg.intercept / reg.delta, sigma=math.sqrt(sigma2))
     params.validate()
     tp = TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
     tp.validate()
-    return params, tp, st
+    return params, tp, reg
 
 
 def numeric_refine(series, start: OUParams, dt=1.0, fatol=1e-10, xatol=1e-12):

@@ -50,29 +50,60 @@ class DFResult:
     n_used: int
 
 
-def ols_fit(X, y):
-    """OLS via the normal equations on a small design matrix.
+@dataclass(frozen=True)
+class AR1Fit:
+    """One AR(1) regression: n rows, the lag coefficient delta and its
+    standard error (from the unbiased rss / (n - regressors)), the constant
+    term (0.0 under model (a)) and the residual sum of squares."""
 
-    Returns (coefficients, coefficient standard errors, residual variance),
-    with the unbiased residual-variance estimator. Raises RankDeficient on
-    collinear regressors and InsufficientData when rows <= columns.
+    n: int
+    delta: float
+    se_delta: float
+    intercept: float
+    rss: float
+
+
+def ar1_regression(series, variant: DFModel) -> AR1Fit:
+    """Least-squares regression of dY_t on Y_{t-1} plus the deterministic
+    terms of `variant`: the one core behind every Dickey-Fuller model and
+    the OU fit.
+
+    A constant is removed by centering the response and the lag on their
+    own means (Frisch-Waugh), a trend by projecting both off the centered,
+    unit-norm trend: a QR on unit-norm columns. Its diagonal entry for the
+    lag, ||lag residual|| / ||lag||, decides the rank, so the decision does
+    not depend on the units of the series or on the length of the trend.
+    Raises InsufficientData when rows <= regressors and RankDeficient when
+    the lag is numerically a deterministic term.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, k = X.shape
+    v = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    x, y = v[:-1], np.diff(v)
+    n = len(y)
+    k = {DFModel.NO_CONST: 1, DFModel.CONST: 2, DFModel.CONST_TREND: 3}[variant]
     if n < k + 1:
         raise InsufficientData(f"{n} rows for {k} regressors")
-    if np.linalg.matrix_rank(X) < k:
-        raise RankDeficient("regressor matrix is not full column rank")
-    xtx = X.T @ X
-    xty = X.T @ y
-    beta = np.linalg.solve(xtx, xty)
-    resid = y - X @ beta
-    s2 = float(resid @ resid) / (n - k)
-    se = np.sqrt(s2 * np.diag(np.linalg.inv(xtx)))
-    return beta, se, s2
+    x_norm = math.sqrt(x @ x)
+    x_mean = y_mean = trend_term = 0.0
+    if variant is not DFModel.NO_CONST:
+        x_mean, y_mean = float(x.mean()), float(y.mean())
+        x, y = x - x_mean, y - y_mean
+    if variant is DFModel.CONST_TREND:
+        trend = np.arange(n) - (n - 1) / 2  # t = 1..n, centered
+        trend_norm = math.sqrt(trend @ trend)
+        trend /= trend_norm
+        tx, ty = float(trend @ x), float(trend @ y)
+        x, y = x - tx * trend, y - ty * trend
+    xx = float(x @ x)
+    if not math.sqrt(xx) > n * np.finfo(np.float64).eps * x_norm:  # nan fails too
+        raise RankDeficient("lag is collinear with the deterministic terms")
+    delta = float(x @ y) / xx
+    resid = y - delta * x
+    rss = float(resid @ resid)
+    if variant is DFModel.CONST_TREND:
+        # trend coefficient times the mean of t, to refer the constant to t = 0
+        trend_term = (ty - delta * tx) / trend_norm * (n + 1) / 2
+    intercept = y_mean - delta * x_mean - trend_term
+    return AR1Fit(n, delta, math.sqrt(rss / (n - k) / xx), intercept, rss)
 
 
 def critical_value(variant: DFModel, n, level=0.01):
@@ -92,31 +123,17 @@ def df_test(series, variant: DFModel, alpha_level=0.01) -> DFResult:
 
     `series` is a VariationSeries or a plain value sequence.
     """
-    y = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    if len(y) < 25:
-        raise SeriesTooShort(f"need >= 25 observations, got {len(y)}")
-    dy = np.diff(y)
-    lag = y[:-1]
-    n = len(dy)
-
-    cols = [lag]
-    if variant in (DFModel.CONST, DFModel.CONST_TREND):
-        cols.append(np.ones(n))
-    if variant is DFModel.CONST_TREND:
-        cols.append(np.arange(1, n + 1, dtype=np.float64))
-    X = np.column_stack(cols)
-
-    beta, se, _ = ols_fit(X, dy)
-    delta_hat = float(beta[0])
-    se_delta = float(se[0])
-    tau = delta_hat / se_delta
-    cv = critical_value(variant, n, alpha_level)
+    if len(series) < 25:
+        raise SeriesTooShort(f"need >= 25 observations, got {len(series)}")
+    fit = ar1_regression(series, variant)
+    tau = fit.delta / fit.se_delta
+    cv = critical_value(variant, fit.n, alpha_level)
     return DFResult(
         variant=variant,
-        delta_hat=delta_hat,
-        se_delta=se_delta,
+        delta_hat=fit.delta,
+        se_delta=fit.se_delta,
         tau=tau,
         critical_value_1pct=cv,
         reject_null=tau < cv,
-        n_used=n,
+        n_used=fit.n,
     )

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyIntersection, MalformedRow, NonPositivePrice
+from .errors import (
+    EmptyInput,
+    EmptyIntersection,
+    InvalidValue,
+    MalformedRow,
+    NonMonotonicTimestamp,
+    NonPositivePrice,
+)
 from .ingest import PriceSeries
 
 
@@ -46,9 +53,10 @@ class VariationSeries:
         if self.times.shape != self.values.shape:
             raise ValueError("times/values length mismatch")
         if len(self.times) and np.any(np.diff(self.times) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite variation value")
+            raise NonMonotonicTimestamp("timestamps must be strictly increasing")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if len(bad):
+            raise InvalidValue(f"non-finite variation value at row {bad[0]}")
 
     def __len__(self):
         return len(self.times)
@@ -84,8 +92,11 @@ class VariationSeries:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise MalformedRow(i, f"expected 2 fields, got {len(parts)}")
-                times.append(int(parts[0]))
-                values.append(float(parts[1]))
+                try:
+                    times.append(int(parts[0]))
+                    values.append(float(parts[1]))
+                except ValueError as exc:
+                    raise MalformedRow(i, str(exc)) from exc
         finally:
             if own:
                 f.close()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,37 @@ def quantile_oracle(values, q):
     if t >= 0.5:
         r = b - (b - a) * (1 - t)
     return r
+
+
+def exact_ar1_regression(values, model):
+    """Exact rational least squares of dY_t on Y_{t-1} plus the deterministic
+    terms of Dickey-Fuller `model` ("a", "b" or "c"), by Gauss-Jordan
+    elimination on the normal equations. Returns (n, delta, se_delta^2,
+    intercept, rss) as Fractions; the float inputs are taken exactly."""
+    v = [Fraction(float(a)) for a in values]
+    y = [b - a for a, b in zip(v, v[1:])]
+    n = len(y)
+    cols = [v[:-1]]
+    if model in ("b", "c"):
+        cols.append([Fraction(1)] * n)
+    if model == "c":
+        cols.append([Fraction(t) for t in range(1, n + 1)])
+    k = len(cols)
+    xtx = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    xty = [sum(a * b for a, b in zip(ci, y)) for ci in cols]
+    # [X'X | X'y | e_0]: solving for both columns gives beta and (X'X)^-1_00
+    rows = [xtx[i] + [xty[i], Fraction(i == 0)] for i in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    beta = [row[k] for row in rows]
+    rss = sum(a * a for a in y) - sum(b * c for b, c in zip(beta, xty))
+    se2 = rss / (n - k) * rows[0][k + 1]
+    return n, beta[0], se2, beta[1] if k > 1 else Fraction(0), rss
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import pytest
 
 import spotvar
 from conftest import MINUTE_MS
+from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
 T0 = 1_504_224_000_000
@@ -237,6 +238,30 @@ class TestReportCommand:
         assert sorted(p.name for p in out.iterdir()) == golden_files
         for name in golden_files:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+class TestBadValues:
+    """A bad value in an input file is a data error (exit 3), not a crash;
+    run in process, so an uncaught exception fails the test."""
+
+    @pytest.mark.parametrize("close", ["0", "nan", "inf"])
+    def test_report_bad_close(self, tmp_path, legs_dir, close):
+        _, paths = legs_dir
+        lines = paths["spot"].read_text().splitlines()
+        lines[5] = f"{lines[5].split(',')[0]},{close}"
+        paths["spot"].write_text("\n".join(lines) + "\n")
+        code = cli_entry([
+            "report", "--spot", str(paths["spot"]), "--num", str(paths["num"]),
+            "--den", str(paths["den"]), "--out-dir", str(tmp_path / "b"), "--skip-mc",
+        ])
+        assert code == 3
+
+    @pytest.mark.parametrize("value", ["inf", "abc"])
+    def test_fit_bad_value(self, tmp_path, value):
+        path = tmp_path / "variation.csv"
+        path.write_text(f"open_time_ms,variation\n0,0.001\n60000,{value}\n120000,0.002\n")
+        code = cli_entry(["fit", "--input", str(path), "--out-dir", str(tmp_path)])
+        assert code == 3
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

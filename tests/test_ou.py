@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from conftest import exact_ar1_regression
 from spotvar import (
     OUParams,
     conditional_moments,
     log_likelihood,
     mle_fit,
     simulate_path,
-    sufficient_stats,
 )
 from spotvar.errors import DegenerateSeries, InvalidParams, NonMeanReverting, SeriesTooShort
 from spotvar.ou import numeric_refine, transition_params
@@ -75,43 +75,6 @@ class TestSimulatePath:
             simulate_path(OUParams(0.0, 0.0, 1.0), 0.0, 10)
 
 
-class TestSufficientStats:
-    def test_constant_series(self):
-        st_ = sufficient_stats(np.array([1.0, 1.0, 1.0]))
-        assert (st_.n, st_.s0, st_.s1, st_.s00, st_.s01, st_.s11) == (2, 2, 2, 2, 2, 2)
-
-    def test_hand_computed_sums(self):
-        st_ = sufficient_stats(np.array([0.0, 1.0, 2.0]))
-        assert (st_.n, st_.s0, st_.s1, st_.s00, st_.s01, st_.s11) == (2, 1, 3, 1, 2, 5)
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(0, 1e-3, 100)
-        st_ = sufficient_stats(v)
-        s0 = s1 = s00 = s01 = s11 = 0.0
-        for i in range(1, len(v)):
-            s0 += v[i - 1]
-            s1 += v[i]
-            s00 += v[i - 1] ** 2
-            s01 += v[i - 1] * v[i]
-            s11 += v[i] ** 2
-        assert st_.s0 == pytest.approx(s0, rel=1e-9)
-        assert st_.s1 == pytest.approx(s1, rel=1e-9)
-        assert st_.s00 == pytest.approx(s00, rel=1e-9)
-        assert st_.s01 == pytest.approx(s01, rel=1e-9)
-        assert st_.s11 == pytest.approx(s11, rel=1e-9)
-
-    def test_cauchy_schwarz_invariant(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            st_ = sufficient_stats(rng.normal(size=50))
-            assert st_.s01**2 <= st_.s00 * st_.s11 * (1 + 1e-12)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            sufficient_stats(np.array([1.0, 2.0]))
-
-
 class TestLogLikelihood:
     def test_single_transition_zero_residual(self):
         tp = transition_params(PARAMS, 1.0)
@@ -140,6 +103,26 @@ class TestLogLikelihood:
 
 
 class TestMleFit:
+    def test_matches_exact_oracle(self):
+        # the ML fit is the exact least-squares fit of Dickey-Fuller model (b)
+        v = simulate_path(PARAMS, 0.0, 49, 1.0, rng_seed=12)
+        n, delta, _, intercept, rss = exact_ar1_regression(v, "b")
+        omega, cond_var = 1 + delta, rss / n
+        alpha = -math.log(omega)
+        fitted, trans, reg = mle_fit(v)
+        assert reg.n == n == 49
+        assert trans.omega == pytest.approx(float(omega), rel=1e-12)
+        assert trans.cond_sd == pytest.approx(math.sqrt(cond_var), rel=1e-12)
+        assert fitted.alpha == pytest.approx(alpha, rel=1e-12)
+        assert fitted.mu == pytest.approx(float(-intercept / delta), rel=1e-12)
+        sigma2 = float(cond_var) * 2 * alpha / float(1 - omega**2)
+        assert fitted.sigma == pytest.approx(math.sqrt(sigma2), rel=1e-12)
+
+    def test_too_short(self):
+        # three observations leave no residual degree of freedom
+        with pytest.raises(SeriesTooShort):
+            mle_fit(np.array([0.0, 1.0, 0.5]))
+
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeries):
             mle_fit(np.full(100, 0.5))
@@ -166,6 +149,13 @@ class TestMleFit:
         assert shifted.mu == pytest.approx(base.mu + 0.37, rel=1e-9, abs=1e-12)
         assert shifted.alpha == pytest.approx(base.alpha, rel=1e-9)
         assert shifted.sigma == pytest.approx(base.sigma, rel=1e-9)
+        # offsets far above the path's sd (~1.3e-3); rounding the shifted
+        # values to float64 leaves ~1e-12 of noise, hence the tolerances
+        for offset in (100.0, 1e4):
+            shifted, _, _ = mle_fit(path + offset)
+            assert shifted.mu - offset == pytest.approx(base.mu, rel=0, abs=1e-9)
+            assert shifted.alpha == pytest.approx(base.alpha, rel=1e-9)
+            assert shifted.sigma == pytest.approx(base.sigma, rel=1e-9)
 
     def test_scale_equivariance(self):
         path = simulate_path(PARAMS, 0.0, 20_000, 1.0, rng_seed=7)

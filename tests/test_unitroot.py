@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from spotvar import DFModel, critical_value, df_test, ols_fit
+from conftest import exact_ar1_regression
+from spotvar import DFModel, ar1_regression, critical_value, df_test
 from spotvar.errors import (
     InsufficientData,
     RankDeficient,
@@ -10,40 +13,43 @@ from spotvar.errors import (
 )
 
 
-class TestOlsFit:
+class TestAR1Regression:
+    def test_matches_exact_oracle(self):
+        # 40 points of a level-shifted random walk: the lag is far from
+        # centered, as in the shift property tests below
+        rng = np.random.default_rng(0)
+        y = 2.0 + 0.3 * np.cumsum(rng.normal(size=40))
+        for m in DFModel:
+            n, delta, se2, intercept, rss = exact_ar1_regression(y, m.value)
+            fit = ar1_regression(y, m)
+            assert fit.n == n == 39
+            assert fit.delta == pytest.approx(float(delta), rel=1e-12)
+            assert fit.se_delta == pytest.approx(math.sqrt(se2), rel=1e-12)
+            assert fit.intercept == pytest.approx(float(intercept), rel=1e-12)
+            assert fit.rss == pytest.approx(float(rss), rel=1e-12)
+
     def test_exact_linear_data(self):
-        x = np.arange(10.0)
-        X = np.column_stack([np.ones(10), x])
-        y = 2.0 * x + 3.0
-        beta, se, s2 = ols_fit(X, y)
-        assert beta == pytest.approx([3.0, 2.0], abs=1e-12)
-        assert s2 == pytest.approx(0.0, abs=1e-20)
+        # dY_t = -Y_{t-1}/2 holds exactly in float64
+        y = 0.5 ** np.arange(31)
+        for m in DFModel:
+            fit = ar1_regression(y, m)
+            assert fit.delta == -0.5
+            assert fit.rss == 0.0
 
-    def test_hand_sized_system_against_normal_equations(self):
-        # 5 rows, 2 columns; oracle is an explicit pinv solve with the
-        # textbook unbiased-variance standard errors
-        X = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 4.0], [1.0, 5.0], [1.0, 7.0]])
-        y = np.array([2.1, 2.9, 5.2, 6.1, 8.3])
-        beta, se, s2 = ols_fit(X, y)
-
-        beta_oracle = np.linalg.pinv(X) @ y
-        resid = y - X @ beta_oracle
-        s2_oracle = resid @ resid / (5 - 2)
-        se_oracle = np.sqrt(s2_oracle * np.diag(np.linalg.inv(X.T @ X)))
-
-        assert beta == pytest.approx(beta_oracle, rel=1e-12)
-        assert se == pytest.approx(se_oracle, rel=1e-12)
-        assert s2 == pytest.approx(s2_oracle, rel=1e-12)
-
-    def test_duplicated_column_rank_deficient(self):
-        x = np.arange(10.0)
-        X = np.column_stack([x, x])
+    def test_collinear_lag_rank_deficient(self):
+        # 0.1 has no exact float mean, so centering leaves rounding noise
+        for m in (DFModel.CONST, DFModel.CONST_TREND):
+            with pytest.raises(RankDeficient):
+                ar1_regression(np.full(40, 0.1), m)
+        # a linear series: the lag is the trend column
         with pytest.raises(RankDeficient):
-            ols_fit(X, x)
+            ar1_regression(0.3 + 0.7 * np.arange(40), DFModel.CONST_TREND)
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientData):
-            ols_fit(np.ones((2, 2)), np.ones(2))
+            ar1_regression(np.array([1.0, 2.0]), DFModel.NO_CONST)
+        with pytest.raises(InsufficientData):
+            ar1_regression(np.array([1.0, 2.0, 4.0]), DFModel.CONST_TREND)
 
 
 class TestCriticalValues:
@@ -100,8 +106,13 @@ class TestDFTest:
         y = _ar1(0.6, 2_000, seed=4)
         for m in (DFModel.CONST, DFModel.CONST_TREND):
             tau0 = df_test(y, m).tau
-            tau1 = df_test(y + 5.0, m).tau
-            assert tau1 == pytest.approx(tau0, abs=1e-8)
+            for shifted in (y + 5.0, 1e-3 * y + 1e4):
+                assert df_test(shifted, m).tau == pytest.approx(tau0, abs=1e-8)
+        # tau is scale-free, and so is the rank decision: the trend column
+        # (~2e4) must not swamp a lag column of ~1e-9
+        y = _ar1(0.6, 20_000, seed=4)
+        tau0 = df_test(y, DFModel.CONST_TREND).tau
+        assert df_test(1e-9 * y, DFModel.CONST_TREND).tau == pytest.approx(tau0, rel=1e-9)
 
     def test_delta_hat_converges_to_rho_minus_one(self):
         rho = 0.8
