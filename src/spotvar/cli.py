@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
-Subcommands mirror the pipeline stages: fetch, variation, summarize,
-dftest, fit, simulate, ci, and report (everything end-to-end). Parameters
-resolve with precedence flag > environment variable > manifest file.
+`report` runs the whole chain: legs -> variation -> Tables 1-3 (summary),
+4 (df), 5 (fit), 6 (ci). `variation` runs its head; `summarize`, `dftest`,
+`fit` and `ci` write a slice of its tables from a variation file, with its
+defaults. Precedence: flag > environment variable > manifest file.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error,
-5 network error.
+Exit codes: 0 success, 2 usage error (an out-of-range value included),
+3 data error, 4 numeric error, 5 network error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from . import reports
 
 # 2017-09-01 00:00:00 UTC, the default sample epoch
 DEFAULT_EPOCH_MS = 1_504_224_000_000
-DEFAULT_PROBES = (0, 25, 50, 75, 100)
+LEGS = ("spot", "num", "den")
+TABLES = ("summary", "df", "fit", "ci")
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -80,7 +82,7 @@ class RunManifest:
             "inputs": {},
             "dt": 1.0,
             "year_split": {"epoch_start_ms": DEFAULT_EPOCH_MS, "n_years": 4},
-            "percentile_probes": list(DEFAULT_PROBES),
+            "percentile_probes": [0, 25, 50, 75, 100],
             "df_level": 0.01,
             "mc": {
                 "replications": 1000,
@@ -93,7 +95,12 @@ class RunManifest:
             "version": __version__,
         }
         if manifest_file:
-            loaded = json.loads(Path(manifest_file).read_text())
+            try:
+                loaded = json.loads(Path(manifest_file).read_text(encoding="utf-8"))
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise click.UsageError(f"manifest {manifest_file} is not JSON: {exc}") from exc
+            if not isinstance(loaded, dict):
+                raise click.UsageError(f"manifest {manifest_file} is not a JSON object")
             for key, value in loaded.items():
                 if isinstance(value, dict) and isinstance(base.get(key), dict):
                     base[key].update(value)
@@ -146,6 +153,76 @@ def _run(stage, fn, *args, **kwargs):
         raise StageError(stage, exc) from exc
 
 
+def PriceSeriesLoader(path, leg):
+    return PriceSeries.from_csv(path, symbol=leg)
+
+
+def _raw_kline_loader(path, leg):
+    return parse_klines(Path(path).read_bytes(), leg)
+
+
+def _load_legs(paths, loader):
+    """Load the legs with `loader(path, leg)`, align them, take the variation.
+    Returns the variation and the rows each leg lost to the alignment."""
+    legs = [_run("load", loader, paths[leg], leg) for leg in LEGS]
+    triple = _run("align", align, *legs)
+    return _run("variation", compute_variation, triple), triple.dropped
+
+
+def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
+    """Write the `tables` subset of TABLES for `var` into `out`, under the
+    resolved config `cfg`. Returns the DF results, fitted parameters and
+    intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"."""
+    dt = cfg["dt"]
+    if "ci" in tables:  # before any work, so a bad MC setting fails at once
+        mc = cfg["mc"]
+        mc_cfg = McConfig(
+            replications=mc["replications"],
+            path_length=mc["path_length"] or len(var),
+            dt=dt,
+            confidence=mc["confidence"],
+            master_seed=mc["master_seed"],
+            initial_value=mc["initial_value"],
+        )
+    out.mkdir(parents=True, exist_ok=True)
+    done = {}
+    if "summary" in tables:
+        probes, ys = cfg["percentile_probes"], cfg["year_split"]
+        table1 = _run("summary", percentiles, var, probes)
+        slices = _run("summary", split_years, var, ys["epoch_start_ms"], ys["n_years"])
+        year_tables = [(s.label, percentiles(s.series, probes)) for s in slices if len(s.series)]
+        year_iqrs = [(label, iqr(t)) for label, t in year_tables]
+        reports.percentile_table(table1, mhash).write(out)
+        reports.yearwise_percentile_table(year_tables, mhash).write(out)
+        reports.yearwise_iqr_table(year_iqrs, mhash).write(out)
+    if "df" in tables:
+        done["df"] = [_run("dftest", df_test, var, m, cfg["df_level"]) for m in DFModel]
+        reports.df_table(done["df"], mhash, verbose).write(out)
+    if "fit" in tables or "ci" in tables:
+        params, trans, stats = done["fit"] = _run("fit", mle_fit, var, dt)
+    if "fit" in tables:
+        loglik = log_likelihood(params, var, dt)
+        reports.ou_fit_table(params, trans, stats, loglik, dt, mhash).write(out)
+    if "ci" in tables:
+        samples = _run("montecarlo", sampling_distribution, params, mc_cfg, workers)
+        done["ci"] = _run("montecarlo", confidence_intervals, samples, mc_cfg.confidence, params)
+        reports.ci_table(done["ci"], mhash).write(out)
+    return done
+
+
+def _slice(input_path, out_dir, tables, overrides=None, **kw):
+    var = _run("load", VariationSeries.from_csv, input_path)
+    return _tables(var, RunManifest.resolve(None, overrides).data, Path(out_dir), tables, **kw)
+
+
+def _out_dir_option(default="."):
+    return click.option("--out-dir", type=click.Path(file_okay=False), default=default)
+
+
+_input_option = click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+_dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
+
+
 @main.command()
 @click.option("--symbol", "symbols", multiple=True, required=True)
 @click.option("--start", type=int, required=True, help="window start, ms UTC")
@@ -154,7 +231,7 @@ def _run(stage, fn, *args, **kwargs):
 @click.option("--pause", type=float, default=0.0, help="seconds between pages")
 @click.option("--max-retries", type=int, default=4, show_default=True)
 @click.option("--backoff", type=float, default=0.5, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@_out_dir_option()
 def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
     """Fetch 1m klines for each symbol and write <symbol>.csv."""
     out = Path(out_dir)
@@ -177,79 +254,43 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 @click.option("--out", type=click.Path(), default="variation.csv")
 def variation_cmd(spot, num, den, raw_klines, out):
     """Align the three legs and write the variation series."""
-    series = {}
-    for leg, path in (("spot", spot), ("num", num), ("den", den)):
-        if raw_klines:
-            series[leg] = _run("parse", parse_klines, Path(path).read_bytes(), leg)
-        else:
-            series[leg] = _run("parse", PriceSeries.from_csv, path, leg)
-    triple = _run("align", align, series["spot"], series["num"], series["den"])
-    var = _run("variation", compute_variation, triple)
+    loader = _raw_kline_loader if raw_klines else PriceSeriesLoader
+    var, dropped = _load_legs({"spot": spot, "num": num, "den": den}, loader)
     var.to_csv(out)
-    click.echo(f"{len(var)} aligned minutes -> {out} (dropped: {triple.dropped})")
-
-
-def _load_variation(path):
-    return _run("load", VariationSeries.from_csv, path)
+    click.echo(f"{len(var)} aligned minutes -> {out} (dropped: {dropped})")
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@_input_option
 @click.option("--epoch-start", type=int, default=DEFAULT_EPOCH_MS, show_default=True)
 @click.option("--years", type=int, default=4, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@_out_dir_option()
 def summarize(input_path, epoch_start, years, out_dir):
     """Emit the percentile / yearwise / IQR tables."""
-    var = _load_variation(input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _emit_summary_tables(var, epoch_start, years, DEFAULT_PROBES, out, manifest_hash="")
-    click.echo(f"tables 1-3 -> {out}")
-
-
-def _emit_summary_tables(var, epoch_start, years, probes, out, manifest_hash):
-    table1 = _run("summary", percentiles, var, probes)
-    slices = _run("summary", split_years, var, epoch_start, years)
-    year_tables = [
-        (s.label, percentiles(s.series, probes)) for s in slices if len(s.series)
-    ]
-    year_iqrs = [(label, iqr(t)) for label, t in year_tables]
-    reports.percentile_table(table1, manifest_hash).write(out)
-    reports.yearwise_percentile_table(year_tables, manifest_hash).write(out)
-    reports.yearwise_iqr_table(year_iqrs, manifest_hash).write(out)
+    overrides = {"year_split.epoch_start_ms": epoch_start, "year_split.n_years": years}
+    _slice(input_path, out_dir, ("summary",), overrides)
+    click.echo(f"tables 1-3 -> {Path(out_dir)}")
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@_input_option
+@_out_dir_option()
 @click.option("--verbose/--brief", default=True)
 def dftest(input_path, out_dir, verbose):
     """Run the three Dickey-Fuller models at the 1% level."""
-    var = _load_variation(input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results = [_run("dftest", df_test, var, m) for m in DFModel]
-    reports.df_table(results, verbose=verbose).write(out)
-    for r in results:
+    for r in _slice(input_path, out_dir, ("df",), verbose=verbose)["df"]:
         decision = "Rejected" if r.reject_null else "Not rejected"
         click.echo(f"Model ({r.variant.value}): {decision} (tau={r.tau:.4f})")
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--dt", type=float, default=1.0, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@_input_option
+@_dt_option
+@_out_dir_option()
 def fit(input_path, dt, out_dir):
     """Closed-form OU maximum-likelihood fit."""
-    var = _load_variation(input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params, trans, stats = _run("fit", mle_fit, var, dt)
-    loglik = log_likelihood(params, var, dt)
-    reports.ou_fit_table(params, trans, stats, loglik, dt).write(out)
-    click.echo(
-        f"alpha={params.alpha:.6f} mu={params.mu:.6e} sigma={params.sigma:.6f}"
-    )
+    params, _, _ = _slice(input_path, out_dir, ("fit",), {"dt": dt})["fit"]
+    click.echo(f"alpha={params.alpha:.6f} mu={params.mu:.6e} sigma={params.sigma:.6f}")
 
 
 @main.command()
@@ -258,7 +299,7 @@ def fit(input_path, dt, out_dir):
 @click.option("--sigma", type=float, required=True)
 @click.option("--v0", type=float, default=None, help="initial value (default mu)")
 @click.option("--steps", type=int, required=True)
-@click.option("--dt", type=float, default=1.0, show_default=True)
+@_dt_option
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
 @click.option("--out", type=click.Path(), default="simulated.csv")
 def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
@@ -272,35 +313,26 @@ def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@_input_option
 @click.option("--replications", type=int, default=1000, show_default=True)
 @click.option("--path-length", type=int, default=None, help="default: sample size")
 @click.option("--confidence", type=float, default=0.90, show_default=True)
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
 @click.option("--workers", type=int, envvar="SPOTVAR_WORKERS", default=1)
-@click.option("--dt", type=float, default=1.0, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+@_dt_option
+@_out_dir_option()
 def ci(input_path, replications, path_length, confidence, seed, workers, dt, out_dir):
     """Fit, then Monte Carlo confidence intervals for the parameters."""
-    var = _load_variation(input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params, _, _ = _run("fit", mle_fit, var, dt)
-    cfg = McConfig(
-        replications=replications,
-        path_length=path_length or len(var),
-        dt=dt,
-        confidence=confidence,
-        master_seed=seed,
-    )
-    samples = _run("montecarlo", sampling_distribution, params, cfg, workers)
-    report = _run("montecarlo", confidence_intervals, samples, confidence, params)
-    reports.ci_table(report).write(out)
+    overrides = {
+        "dt": dt,
+        "mc.replications": replications,
+        "mc.path_length": path_length,
+        "mc.confidence": confidence,
+        "mc.master_seed": seed,
+    }
+    r = _slice(input_path, out_dir, ("ci",), overrides, workers=workers)["ci"]
     for name in ("alpha", "mu", "sigma"):
-        click.echo(
-            f"{name}: {report.point[name]:.6e} "
-            f"[{report.lower[name]:.6e}, {report.upper[name]:.6e}]"
-        )
+        click.echo(f"{name}: {r.point[name]:.6e} [{r.lower[name]:.6e}, {r.upper[name]:.6e}]")
 
 
 @main.command()
@@ -308,7 +340,7 @@ def ci(input_path, replications, path_length, confidence, seed, workers, dt, out
 @click.option("--spot", type=click.Path(exists=True), default=None)
 @click.option("--num", type=click.Path(exists=True), default=None)
 @click.option("--den", type=click.Path(exists=True), default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default="report")
+@_out_dir_option("report")
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=None)
 @click.option("--workers", type=int, envvar="SPOTVAR_WORKERS", default=1)
 @click.option("--replications", type=int, default=None)
@@ -327,7 +359,7 @@ def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
         "skip_mc": skip_mc,
     }
     manifest = RunManifest.resolve(manifest_file, overrides)
-    for leg in ("spot", "num", "den"):
+    for leg in LEGS:
         if not manifest.data["inputs"].get(leg):
             raise click.UsageError(f"missing input for leg '{leg}'")
     manifest = manifest.with_input_hashes()
@@ -335,49 +367,12 @@ def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    legs = {
-        leg: _run("load", PriceSeriesLoader, manifest.data["inputs"][leg], leg)
-        for leg in ("spot", "num", "den")
-    }
-    triple = _run("align", align, legs["spot"], legs["num"], legs["den"])
-    var = _run("variation", compute_variation, triple)
+    var, _ = _load_legs(manifest.data["inputs"], PriceSeriesLoader)
     var.to_csv(out / "variation.csv", header_comment=f"manifest_hash={mhash}")
-
-    ys = manifest.data["year_split"]
-    _emit_summary_tables(
-        var, ys["epoch_start_ms"], ys["n_years"],
-        manifest.data["percentile_probes"], out, mhash,
-    )
-
-    df_results = [_run("dftest", df_test, var, m, manifest.data["df_level"]) for m in DFModel]
-    reports.df_table(df_results, mhash).write(out)
-
-    dt = manifest.data["dt"]
-    params, trans, stats = _run("fit", mle_fit, var, dt)
-    loglik = log_likelihood(params, var, dt)
-    reports.ou_fit_table(params, trans, stats, loglik, dt, mhash).write(out)
-
-    if not manifest.data["skip_mc"]:
-        mc = manifest.data["mc"]
-        cfg = McConfig(
-            replications=mc["replications"],
-            path_length=mc["path_length"] or len(var),
-            dt=dt,
-            confidence=mc["confidence"],
-            master_seed=mc["master_seed"],
-            initial_value=mc["initial_value"],
-        )
-        samples = _run("montecarlo", sampling_distribution, params, cfg, workers)
-        ci_report = _run("montecarlo", confidence_intervals, samples, cfg.confidence, params)
-        reports.ci_table(ci_report, mhash).write(out)
-
+    tables = TABLES[:-1] if manifest.data["skip_mc"] else TABLES
+    _tables(var, manifest.data, out, tables, mhash, workers)
     manifest.dump(out / "manifest.json")
     click.echo(f"report bundle -> {out} (manifest {mhash[:12]})")
-
-
-def PriceSeriesLoader(path, leg):
-    return PriceSeries.from_csv(path, symbol=leg)
 
 
 def cli_entry(argv=None):

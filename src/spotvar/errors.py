@@ -19,7 +19,11 @@ class NumericError(SpotvarError):
 
 
 class NetworkError(SpotvarError):
-    """Remote endpoint unreachable after the retry budget was spent."""
+    """Remote endpoint unreachable, or its answer unusable."""
+
+
+class InvalidArgument(SpotvarError, ValueError):
+    """A parameter out of its documented range (CLI exit 2); a ValueError too."""
 
 
 # --- ingest ---

@@ -8,6 +8,7 @@ never interpolated.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import time
@@ -67,7 +68,7 @@ class PriceSeries:
     closes: np.ndarray  # float64
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.int64))
+        object.__setattr__(self, "times", int64_times(self.times))
         object.__setattr__(self, "closes", np.asarray(self.closes, dtype=np.float64))
         if self.times.shape != self.closes.shape or self.times.ndim != 1:
             raise ValueError("times and closes must be 1-d and equal length")
@@ -88,43 +89,64 @@ class PriceSeries:
 
     def to_csv(self, path_or_buf):
         """Write the normalized `open_time_ms,close` CSV."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            f.write("open_time_ms,close\n")
-            for t, c in zip(self.times.tolist(), self.closes.tolist()):
-                f.write(f"{t},{c!r}\n")
-        finally:
-            if own:
-                f.close()
+        write_series_csv(path_or_buf, "open_time_ms,close", self.times, self.closes)
 
     @classmethod
     def from_csv(cls, path_or_buf, symbol=""):
         """Read a normalized `open_time_ms,close` CSV (comment lines allowed)."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        f = open(path_or_buf, newline="") if own else path_or_buf
-        try:
-            times, closes = [], []
-            for i, line in enumerate(f, start=1):
+        return cls(symbol, *read_series_csv(path_or_buf))
+
+
+def _open(path_or_buf, mode):
+    """A path opened as UTF-8 text, where bytes that are not UTF-8 read as
+    lone surrogates; a text buffer as it is, left open."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        return open(path_or_buf, mode, newline="", encoding="utf-8", errors="surrogateescape")
+    return contextlib.nullcontext(path_or_buf)
+
+
+def write_series_csv(path_or_buf, header, times, values, header_comment=None):
+    """Write `header`, then one `time,value` row per point. Values are
+    written as repr, which round-trips float64 exactly."""
+    with _open(path_or_buf, "w") as f:
+        if header_comment:
+            f.write(f"# {header_comment}\n")
+        f.write(header + "\n")
+        for t, v in zip(times.tolist(), values.tolist()):
+            f.write(f"{t},{v!r}\n")
+
+
+def read_series_csv(path_or_buf):
+    """Read a two-column `time,value` CSV into lists of int times and float
+    values. Blank lines, `#` comments and an `open_time_ms` header are
+    skipped. A line that is not UTF-8 or not two numbers raises MalformedRow."""
+    times, values = [], []
+    with _open(path_or_buf, "r") as f:
+        for i, line in enumerate(f, start=1):
+            try:
                 line = line.strip()
-                if not line or line.startswith("#"):
+                if not line.isascii():
+                    line.encode("utf-8")  # raises on a lone surrogate
+                if not line or line.startswith("#") or line.lower().startswith("open_time_ms"):
                     continue
-                if line.lower().startswith("open_time_ms"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise MalformedRow(i, f"expected 2 fields, got {len(parts)}")
-                try:
-                    times.append(int(parts[0]))
-                    closes.append(float(parts[1]))
-                except ValueError as exc:
-                    raise MalformedRow(i, str(exc)) from exc
-        finally:
-            if own:
-                f.close()
-        if not times:
-            raise EmptyInput("no data rows")
-        return cls(symbol=symbol, times=np.array(times), closes=np.array(closes))
+                t, v = line.split(",")
+                times.append(int(t))
+                values.append(float(v))
+            except UnicodeEncodeError as exc:
+                raise MalformedRow(i, "not UTF-8 text") from exc
+            except ValueError as exc:
+                raise MalformedRow(i, str(exc)) from exc
+    if not times:
+        raise EmptyInput("no data rows")
+    return times, values
+
+
+def int64_times(times):
+    """`times` as an int64 array; a value out of range is InvalidValue."""
+    try:
+        return np.asarray(times, dtype=np.int64)
+    except OverflowError as exc:
+        raise InvalidValue(f"timestamp outside the int64 range: {exc}") from exc
 
 
 def find_gaps(times, interval_ms=MINUTE_MS):
@@ -154,43 +176,44 @@ def parse_klines(raw, symbol):
     (open_time, open, high, low, close, volume, close_time, ...). Rows are
     sorted by open_time; duplicate timestamps are rejected.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     if hasattr(raw, "read"):
         raw = raw.read()
-        if isinstance(raw, bytes):
+    if isinstance(raw, bytes):
+        try:
             raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
 
     rows = []
-    for line_no, fields in enumerate(csv.reader(io.StringIO(raw)), start=1):
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue
-        if len(fields) < 7:
-            raise MalformedRow(line_no, f"expected >= 7 fields, got {len(fields)}")
-        try:
-            k = Kline(
-                open_time=int(fields[0]),
-                open=float(fields[1]),
-                high=float(fields[2]),
-                low=float(fields[3]),
-                close=float(fields[4]),
-                volume=float(fields[5]),
-                close_time=int(fields[6]),
-            )
-            k.validate()
-        except (ValueError, OverflowError) as exc:
-            raise MalformedRow(line_no, str(exc)) from exc
-        rows.append(k)
+    reader = csv.reader(io.StringIO(raw))
+    try:
+        for fields in reader:
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            if len(fields) < 7:
+                raise MalformedRow(reader.line_num, f"expected >= 7 fields, got {len(fields)}")
+            try:
+                k = Kline(
+                    open_time=int(fields[0]),
+                    open=float(fields[1]),
+                    high=float(fields[2]),
+                    low=float(fields[3]),
+                    close=float(fields[4]),
+                    volume=float(fields[5]),
+                    close_time=int(fields[6]),
+                )
+                k.validate()
+            except (ValueError, OverflowError) as exc:
+                raise MalformedRow(reader.line_num, str(exc)) from exc
+            rows.append(k)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from exc
 
     if not rows:
         raise EmptyInput(f"{symbol}: zero kline rows")
     rows.sort(key=lambda k: k.open_time)
-    times = np.array([k.open_time for k in rows], dtype=np.int64)
-    if np.any(np.diff(times) == 0):
-        raise NonMonotonicTimestamp(f"{symbol}: duplicate open_time")
-    closes = np.array([k.close for k in rows], dtype=np.float64)
-    series = PriceSeries(symbol=symbol, times=times, closes=closes)
-    _warn_gaps(symbol, times)
+    series = PriceSeries(symbol, [k.open_time for k in rows], [k.close for k in rows])
+    _warn_gaps(symbol, series.times)
     return series
 
 
@@ -205,21 +228,29 @@ class FetchConfig:
 
 
 def _get_with_retries(session, url, params, cfg):
+    """GET and decode JSON, retrying transport errors, 418/429 (rate limit)
+    and 5xx with exponential backoff. Any other 4xx, and a body that is not
+    JSON, will not change on retry: they raise NetworkError at once."""
     delay = cfg.backoff_base_s
     last_exc = None
     for attempt in range(cfg.max_retries + 1):
-        try:
-            resp = session.get(url, params=params, timeout=30)
-            if resp.status_code in (418, 429) or resp.status_code >= 500:
-                raise IOError(f"HTTP {resp.status_code}")
-            resp.raise_for_status()
-            return resp.json()
-        except Exception as exc:  # noqa: BLE001 - transient classes vary by transport
-            last_exc = exc
-            if attempt == cfg.max_retries:
-                break
+        if attempt:
             cfg.sleep(delay)
             delay *= 2
+        try:
+            resp = session.get(url, params=params, timeout=30)
+        except Exception as exc:  # noqa: BLE001 - transient classes vary by transport
+            last_exc = exc
+            continue
+        if resp.status_code in (418, 429) or resp.status_code >= 500:
+            last_exc = IOError(f"HTTP {resp.status_code}")
+        elif resp.status_code >= 400:
+            raise NetworkError(f"{url}: HTTP {resp.status_code}, not retried")
+        else:
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise NetworkError(f"{url}: response is not JSON ({exc})") from exc
     raise NetworkError(f"{url}: retry budget exhausted ({last_exc})")
 
 
@@ -227,8 +258,8 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
     """Fetch 1m klines over [start_ms, end_ms) with pagination and retries.
 
     `session` needs only a `.get(url, params=..., timeout=...)` returning an
-    object with `.status_code`, `.json()` and `.raise_for_status()`; defaults
-    to a requests.Session. Gaps are reported via GapWarning, never filled.
+    object with `.status_code` and `.json()`; defaults to a requests.Session.
+    Gaps are reported via GapWarning, never filled.
     """
     if start_ms >= end_ms:
         raise EmptyRange(f"start {start_ms} >= end {end_ms}")
@@ -266,7 +297,7 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
 
     if not times:
         raise EmptyInput(f"{symbol}: endpoint returned no rows")
-    series = PriceSeries(symbol=symbol, times=np.array(times), closes=np.array(closes))
+    series = PriceSeries(symbol=symbol, times=times, closes=closes)
     if interval_ms:
         _warn_gaps(symbol, series.times, interval_ms)
     return series

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientReplications, SpotvarError, TooManyFailures
+from .errors import InsufficientReplications, InvalidArgument, SpotvarError, TooManyFailures
 from .ou import OUParams, mle_fit, simulate_path
 
 
@@ -29,11 +29,11 @@ class McConfig:
 
     def __post_init__(self):
         if self.replications < 2:
-            raise ValueError("replications must be >= 2")
+            raise InvalidArgument(f"replications must be >= 2, got {self.replications}")
         if self.path_length < 3:
-            raise ValueError("path_length must be >= 3")
+            raise InvalidArgument(f"path_length must be >= 3, got {self.path_length}")
         if not 0 < self.confidence < 1:
-            raise ValueError("confidence must lie in (0, 1)")
+            raise InvalidArgument(f"confidence must lie in (0, 1), got {self.confidence}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from scipy.signal import lfilter
 
 from .errors import (
     DegenerateSeries,
+    InvalidArgument,
     InvalidParams,
     NonMeanReverting,
     NumericalBreakdown,
@@ -83,9 +84,9 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0):
     (length n_steps + 1). Deterministic given rng_seed."""
     params.validate()
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+        raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
+    if not dt > 0:
+        raise InvalidArgument(f"dt must be > 0, got {dt}")
     tp = transition_params(params, dt)
     rng = np.random.default_rng(rng_seed)
     shocks = tp.cond_sd * rng.standard_normal(n_steps)
@@ -123,11 +124,14 @@ def mle_fit(series, dt=1.0):
     (b): omega = 1 + delta, mu = -c/delta, conditional variance RSS/n.
     Returns (OUParams, TransitionParams, AR1Fit).
 
-    Raises SeriesTooShort below 4 observations, DegenerateSeries on
-    constant input, NonMeanReverting when omega >= 1 (alpha <= 0, i.e. the
-    data looks like a random walk), NumericalBreakdown when omega <= 0, the
-    conditional variance is non-positive or the lag is numerically constant.
+    Raises InvalidArgument unless dt > 0, SeriesTooShort below 4
+    observations, DegenerateSeries on constant input, NonMeanReverting when
+    omega >= 1 (alpha <= 0, i.e. the data looks like a random walk),
+    NumericalBreakdown when omega <= 0, the conditional variance is
+    non-positive or the lag is numerically constant.
     """
+    if not dt > 0:
+        raise InvalidArgument(f"dt must be > 0, got {dt}")
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if len(v) < 4:
         raise SeriesTooShort(f"need >= 4 observations, got {len(v)}")

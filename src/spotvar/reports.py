@@ -121,25 +121,20 @@ def yearwise_iqr_table(year_iqrs, manifest_hash=""):
 
 
 def df_table(results, manifest_hash="", verbose=True):
-    if verbose:
-        columns = ("model", "decision", "tau", "critical_value_1pct", "delta_hat", "n")
-        rows = [
-            (
-                f"Model ({r.variant.value})",
-                "Rejected" if r.reject_null else "Not rejected",
-                r.tau,
-                r.critical_value_1pct,
-                r.delta_hat,
-                f"{r.n_used}",
-            )
-            for r in results
-        ]
-    else:
-        columns = ("model", "decision")
-        rows = [
-            (f"Model ({r.variant.value})", "Rejected" if r.reject_null else "Not rejected")
-            for r in results
-        ]
+    columns = ("model", "decision", "tau", "critical_value_1pct", "delta_hat", "n")
+    rows = [
+        (
+            f"Model ({r.variant.value})",
+            "Rejected" if r.reject_null else "Not rejected",
+            r.tau,
+            r.critical_value_1pct,
+            r.delta_hat,
+            f"{r.n_used}",
+        )
+        for r in results
+    ]
+    if not verbose:  # model and decision only
+        columns, rows = columns[:2], [row[:2] for row in rows]
     return TableWriter(
         "table4_dickey_fuller",
         "Dickey-Fuller test results (1% level)",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, MissingRank
+from .errors import EmptySeries, InvalidArgument, MissingRank
 from .variation import VariationSeries
 
 DAY_MS = 86_400_000
@@ -28,7 +28,7 @@ class PercentileTable:
         object.__setattr__(self, "probes", tuple(float(p) for p in self.probes))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if any(not 0 <= p <= 100 for p in self.probes):
-            raise ValueError("probes must lie in [0, 100]")
+            raise InvalidArgument(f"probes must lie in [0, 100], got {self.probes}")
         order = np.argsort(self.probes)
         vals = np.array(self.values)[order]
         if np.any(np.diff(vals) < 0):
@@ -66,7 +66,7 @@ def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSl
     every sample lands in exactly one slice.
     """
     if n_years < 1:
-        raise ValueError("n_years must be >= 1")
+        raise InvalidArgument(f"n_years must be >= 1, got {n_years}")
     slices = []
     sample_end = int(series.times[-1]) + 1 if len(series) else epoch_start_ms + n_years * YEAR_MS
     year_idx = np.clip((series.times - epoch_start_ms) // YEAR_MS, 0, n_years - 1)

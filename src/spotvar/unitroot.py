@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, RankDeficient, SeriesTooShort, UnsupportedLevel
+from .errors import InsufficientData, NumericalBreakdown, RankDeficient, SeriesTooShort
+from .errors import UnsupportedLevel
 
 
 class DFModel(enum.Enum):
@@ -126,6 +127,8 @@ def df_test(series, variant: DFModel, alpha_level=0.01) -> DFResult:
     if len(series) < 25:
         raise SeriesTooShort(f"need >= 25 observations, got {len(series)}")
     fit = ar1_regression(series, variant)
+    if not fit.se_delta > 0:
+        raise NumericalBreakdown(f"model ({variant.value}) fits exactly: se(delta) is 0")
     tau = fit.delta / fit.se_delta
     cv = critical_value(variant, fit.n, alpha_level)
     return DFResult(

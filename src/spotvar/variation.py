@@ -11,15 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    EmptyIntersection,
-    InvalidValue,
-    MalformedRow,
-    NonMonotonicTimestamp,
-    NonPositivePrice,
-)
-from .ingest import PriceSeries
+from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp, NonPositivePrice
+from .ingest import PriceSeries, int64_times, read_series_csv, write_series_csv
 
 
 @dataclass(frozen=True)
@@ -48,7 +41,7 @@ class VariationSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.int64))
+        object.__setattr__(self, "times", int64_times(self.times))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.times.shape != self.values.shape:
             raise ValueError("times/values length mismatch")
@@ -67,42 +60,16 @@ class VariationSeries:
         return VariationSeries(self.times[mask], self.values[mask])
 
     def to_csv(self, path_or_buf, header_comment=None):
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            if header_comment:
-                f.write(f"# {header_comment}\n")
-            f.write("open_time_ms,variation\n")
-            for t, v in zip(self.times.tolist(), self.values.tolist()):
-                f.write(f"{t},{v!r}\n")  # repr round-trips float64 exactly
-        finally:
-            if own:
-                f.close()
+        """Write the `open_time_ms,variation` CSV, after an optional
+        `# header_comment` line."""
+        write_series_csv(
+            path_or_buf, "open_time_ms,variation", self.times, self.values, header_comment
+        )
 
     @classmethod
     def from_csv(cls, path_or_buf):
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        f = open(path_or_buf, newline="") if own else path_or_buf
-        try:
-            times, values = [], []
-            for i, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#") or line.lower().startswith("open_time_ms"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise MalformedRow(i, f"expected 2 fields, got {len(parts)}")
-                try:
-                    times.append(int(parts[0]))
-                    values.append(float(parts[1]))
-                except ValueError as exc:
-                    raise MalformedRow(i, str(exc)) from exc
-        finally:
-            if own:
-                f.close()
-        if not times:
-            raise EmptyInput("no variation rows")
-        return cls(np.array(times), np.array(values))
+        """Read an `open_time_ms,variation` CSV (comment lines allowed)."""
+        return cls(*read_series_csv(path_or_buf))
 
 
 def align(spot: PriceSeries, num: PriceSeries, den: PriceSeries) -> AlignedTriple:

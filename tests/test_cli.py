@@ -108,13 +108,14 @@ class TestVariationCommand:
         assert "align" in result.stderr
 
 
-class TestPipelineCommands:
-    @pytest.fixture
-    def variation_csv(self, tmp_path, ou_legs):
-        path = tmp_path / "variation.csv"
-        ou_legs[3].to_csv(path)
-        return path
+@pytest.fixture
+def variation_csv(tmp_path, ou_legs):
+    path = tmp_path / "variation.csv"
+    ou_legs[3].to_csv(path)
+    return path
 
+
+class TestPipelineCommands:
     def test_summarize(self, tmp_path, variation_csv):
         result = run_cli("summarize", "--input", variation_csv, "--out-dir", tmp_path)
         assert result.returncode == 0, result.stderr
@@ -262,6 +263,67 @@ class TestBadValues:
         path.write_text(f"open_time_ms,variation\n0,0.001\n60000,{value}\n120000,0.002\n")
         code = cli_entry(["fit", "--input", str(path), "--out-dir", str(tmp_path)])
         assert code == 3
+
+
+class TestSlicesOfReport:
+    def test_subcommands_write_reports_tables(self, tmp_path, legs_dir):
+        """summarize, dftest, fit and ci on report's variation.csv, under the
+        same settings, write report's tables; only the cited hash differs."""
+        _, paths = legs_dir
+        bundle, sliced = tmp_path / "bundle", tmp_path / "sliced"
+        mc = ["--replications", "20", "--path-length", "300", "--seed", "4"]
+        assert cli_entry([
+            "report", "--spot", str(paths["spot"]), "--num", str(paths["num"]),
+            "--den", str(paths["den"]), "--out-dir", str(bundle), *mc,
+        ]) == 0
+        var = str(bundle / "variation.csv")
+        for command in (["summarize"], ["dftest"], ["fit"], ["ci", *mc]):
+            assert cli_entry([*command, "--input", var, "--out-dir", str(sliced)]) == 0
+
+        def without_hash(path):
+            return [l for l in path.read_text().splitlines() if "manifest" not in l]
+
+        written = sorted(p.name for p in sliced.iterdir())
+        assert written == sorted(p.name for p in bundle.glob("table*"))
+        for name in written:
+            assert without_hash(sliced / name) == without_hash(bundle / name), name
+
+
+# 0.5**k is fitted exactly by all three Dickey-Fuller regressions: se(delta) = 0
+EXACT_FIT = "open_time_ms,variation\n" + "".join(f"{k * MINUTE_MS},{0.5**k!r}\n" for k in range(31))
+SIMULATE = "simulate --alpha 0.8 --mu 0 --sigma 0.001"
+
+
+class TestExitCodes:
+    """An out-of-range value is a usage error (exit 2) and an exactly fitted
+    series a numeric error (exit 4), reported in one line. Run in process,
+    so an uncaught exception (exit 1 from the console script) fails the test."""
+
+    @pytest.mark.parametrize("argv, code", [
+        ("ci --input VAR --replications 1", 2),
+        ("ci --input VAR --confidence 1.5", 2),
+        ("ci --input VAR --path-length 2", 2),
+        ("summarize --input VAR --years 0", 2),
+        (f"{SIMULATE} --steps 0", 2),
+        (f"{SIMULATE} --steps 10 --dt 0", 2),
+        ("fit --input VAR --dt 0", 2),
+        ("report --manifest NOT_JSON", 2),
+        ("report --manifest NOT_OBJECT", 2),
+        ("dftest --input EXACT_FIT", 4),
+    ])
+    def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
+        files = {"VAR": variation_csv}
+        for name, text in (("NOT_JSON", "{not json"), ("NOT_OBJECT", "[1, 2]"),
+                           ("EXACT_FIT", EXACT_FIT)):
+            files[name] = tmp_path / name
+            files[name].write_text(text)
+        args = [str(files.get(a, a)) for a in argv.split()]
+        if args[0] == "simulate":
+            args += ["--out", str(tmp_path / "sim.csv")]
+        else:
+            args += ["--out-dir", str(tmp_path / "out")]
+        assert cli_entry(args) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

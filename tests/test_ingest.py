@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotvar import PriceSeries, fetch_klines, parse_klines
+from spotvar import PriceSeries, VariationSeries, fetch_klines, parse_klines
 from spotvar.errors import (
     EmptyInput,
     EmptyRange,
     GapWarning,
+    InvalidValue,
     MalformedRow,
     NetworkError,
     NonMonotonicTimestamp,
+    SpotvarError,
 )
 from spotvar.ingest import MINUTE_MS, FetchConfig, find_gaps
 
@@ -106,11 +108,76 @@ class TestSerializationRoundTrip:
         assert np.array_equal(back.times, series.times)
         assert np.array_equal(back.closes, series.closes)
 
+    def test_sample_legs_round_trip_byte_for_byte(self):
+        for leg in ("spot", "num", "den"):
+            path = DATA / "sample_legs" / f"{leg}.csv"
+            buf = io.StringIO()
+            PriceSeries.from_csv(path, leg).to_csv(buf)
+            assert buf.getvalue() == path.read_text()
+
     def test_minute_grid_property(self):
         series = parse_klines(DATA.joinpath("klines_10rows.csv").read_bytes(), "B")
         deltas = np.diff(series.times)
         assert np.all(deltas > 0)
         assert np.all(deltas % MINUTE_MS == 0)
+
+
+# pieces of valid and invalid rows, so examples reach the parsers' later checks
+_CSV_PIECES = [
+    b"0", b"1", b"60000", b"9" * 20, b"-", b".", b"e", b",", b"\n", b"\r", b" ", b"#",
+    b"nan", b"inf", b"open_time_ms", b"\xff", b"\xc3", b"\xc3\xa9", b"\x00", b'"',
+]
+_ARBITRARY_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_CSV_PIECES), max_size=60).map(b"".join),
+)
+
+
+class TestArbitraryBytes:
+    """Whatever the bytes, the readers return a series or raise SpotvarError."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+    @given(data=_ARBITRARY_BYTES)
+    @settings(max_examples=300, deadline=None)
+    def test_only_package_errors(self, scratch, data):
+        scratch.write_bytes(data)
+        for read in (
+            lambda: PriceSeries.from_csv(scratch, "X"),
+            lambda: VariationSeries.from_csv(scratch),
+            lambda: parse_klines(data, "X"),
+        ):
+            try:
+                read()
+            except SpotvarError:
+                pass
+
+    @pytest.mark.parametrize("line", [b"60000,\xff1.5", b"# caf\xe9", b"\xc3"])
+    def test_not_utf8_is_malformed_row_at_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"open_time_ms,close\n0,1.5\n" + line + b"\n120000,1.5\n")
+        for read in (lambda: PriceSeries.from_csv(path, "X"),
+                     lambda: VariationSeries.from_csv(path)):
+            with pytest.raises(MalformedRow) as exc:
+                read()
+            assert exc.value.line_no == 3
+
+    def test_kline_not_utf8_is_malformed_row_at_its_line(self):
+        with pytest.raises(MalformedRow) as exc:
+            parse_klines(SINGLE_ROW + b"\xff" + SINGLE_ROW, "X")
+        assert exc.value.line_no == 2
+
+    def test_timestamp_beyond_int64_is_invalid_value(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"0,1.5\n{2**63},1.5\n")
+        with pytest.raises(InvalidValue):
+            PriceSeries.from_csv(path, "X")
+        with pytest.raises(InvalidValue):
+            VariationSeries.from_csv(path)
+        with pytest.raises(InvalidValue):
+            parse_klines(f"{2**63},1,1,1,1,1,{2**64}\n".encode(), "X")
 
 
 def _kline_row(open_time, close=100.0):
@@ -134,17 +201,19 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Serves canned kline rows like the Binance klines endpoint."""
+    """Serves canned kline rows like the Binance klines endpoint; the first
+    `fail_first` calls answer with `fail_status`."""
 
-    def __init__(self, rows, fail_first=0):
+    def __init__(self, rows, fail_first=0, fail_status=503):
         self.rows = rows
         self.fail_first = fail_first
+        self.fail_status = fail_status
         self.calls = 0
 
     def get(self, url, params=None, timeout=None):
         self.calls += 1
         if self.calls <= self.fail_first:
-            return FakeResponse(None, status=503)
+            return FakeResponse(None, status=self.fail_status)
         start = params["startTime"]
         end = params["endTime"]
         limit = params["limit"]
@@ -203,6 +272,47 @@ class TestFetchKlines:
                 "ETHBTC", rows[0][0], rows[-1][0] + MINUTE_MS,
                 session=session, config=cfg,
             )
+
+
+    @pytest.mark.parametrize("status, calls, sleeps", [
+        (400, 1, 0),  # e.g. a misspelt symbol
+        (404, 1, 0),
+        (429, 2, 1),  # rate limited: back off and retry
+        (418, 2, 1),
+        (503, 2, 1),
+    ])
+    def test_retries_only_transient_responses(self, status, calls, sleeps):
+        rows = self._grid_rows(10)
+        session = FakeSession(rows, fail_first=1, fail_status=status)
+        slept = []
+        cfg = FetchConfig(max_retries=4, sleep=slept.append)
+        fetch = lambda: fetch_klines(  # noqa: E731
+            "ETHBTC", rows[0][0], rows[-1][0] + MINUTE_MS, session=session, config=cfg
+        )
+        if calls == 1:
+            with pytest.raises(NetworkError, match=f"HTTP {status}"):
+                fetch()
+        else:
+            assert len(fetch()) == 10
+        assert (session.calls, len(slept)) == (calls, sleeps)
+
+    def test_malformed_json_fails_fast(self):
+        class NotJson(FakeResponse):
+            def json(self):
+                return json.loads("<html>")
+
+        class Session:
+            calls = 0
+
+            def get(self, url, params=None, timeout=None):
+                Session.calls += 1
+                return NotJson(None)
+
+        slept = []
+        cfg = FetchConfig(max_retries=4, sleep=slept.append)
+        with pytest.raises(NetworkError, match="not JSON"):
+            fetch_klines("ETHBTC", 0, MINUTE_MS, session=Session(), config=cfg)
+        assert (Session.calls, slept) == (1, [])
 
 
 def test_find_gaps_reports_first_missing_minute():

@@ -14,7 +14,13 @@ from spotvar import (
     mle_fit,
     simulate_path,
 )
-from spotvar.errors import DegenerateSeries, InvalidParams, NonMeanReverting, SeriesTooShort
+from spotvar.errors import (
+    DegenerateSeries,
+    InvalidArgument,
+    InvalidParams,
+    NonMeanReverting,
+    SeriesTooShort,
+)
 from spotvar.ou import numeric_refine, transition_params
 
 # Table-5-scale parameters used throughout as a realistic operating point
@@ -122,6 +128,14 @@ class TestMleFit:
         # three observations leave no residual degree of freedom
         with pytest.raises(SeriesTooShort):
             mle_fit(np.array([0.0, 1.0, 0.5]))
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_dt_must_be_positive(self, dt):
+        # a ValueError too, for callers that catch the built-in
+        with pytest.raises(InvalidArgument):
+            mle_fit(simulate_path(PARAMS, MU, 100, rng_seed=1), dt)
+        with pytest.raises(ValueError):
+            simulate_path(PARAMS, MU, 100, dt)
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeries):

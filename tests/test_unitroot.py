@@ -7,6 +7,7 @@ from conftest import exact_ar1_regression
 from spotvar import DFModel, ar1_regression, critical_value, df_test
 from spotvar.errors import (
     InsufficientData,
+    NumericalBreakdown,
     RankDeficient,
     SeriesTooShort,
     UnsupportedLevel,
@@ -82,6 +83,12 @@ class TestDFTest:
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):
             df_test(np.zeros(10), DFModel.CONST)
+
+    @pytest.mark.parametrize("model", list(DFModel))
+    def test_exact_fit_has_no_tau(self, model):
+        # dY = -0.5 * Y holds exactly: residuals and se(delta) are 0
+        with pytest.raises(NumericalBreakdown):
+            df_test(0.5 ** np.arange(31.0), model)
 
     def test_tau_identity_bit_for_bit(self):
         y = _ar1(0.7, 500, seed=1)
