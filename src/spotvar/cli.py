@@ -24,7 +24,7 @@ from .errors import DataError, NetworkError, NumericError, SpotvarError
 from .ingest import PriceSeries, FetchConfig, fetch_klines, parse_klines
 from .montecarlo import McConfig, confidence_intervals, sampling_distribution
 from .ou import OUParams, log_likelihood, mle_fit, simulate_path
-from .summary import iqr, percentiles, split_years
+from .summary import iqr, percentiles, split_years, valid_probes
 from .unitroot import DFModel, df_test
 from .variation import VariationSeries, align, compute_variation
 from . import reports
@@ -66,6 +66,44 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what each configuration value must be, checked before any input is read
+_VALUE_CHECKS = {
+    "inputs": ("an object of paths", lambda v: all(isinstance(p, str) for p in v.values())),
+    "dt": ("a number", _number),
+    "year_split.epoch_start_ms": ("an integer", _integer),
+    "year_split.n_years": ("an integer", _integer),
+    "percentile_probes": (
+        "a list of numbers in [0, 100]",
+        lambda v: isinstance(v, list) and all(map(_number, v)) and valid_probes(v),
+    ),
+    "df_level": ("a number", _number),
+    "mc.replications": ("an integer", _integer),
+    "mc.path_length": ("an integer or null", lambda v: v is None or _integer(v)),
+    "mc.confidence": ("a number", _number),
+    "mc.master_seed": ("an integer", _integer),
+    "mc.initial_value": ("a number or null", lambda v: v is None or _number(v)),
+    "skip_mc": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _check_values(data):
+    """Raise UsageError naming the first configuration value that is not
+    what `_VALUE_CHECKS` requires."""
+    for key, (what, ok) in _VALUE_CHECKS.items():
+        section, _, leaf = key.rpartition(".")
+        value = data[section][leaf] if section else data[key]
+        if not ok(value):
+            raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
+
+
 class RunManifest:
     """Resolved run configuration plus content hashes of the inputs.
 
@@ -102,10 +140,14 @@ class RunManifest:
             if not isinstance(loaded, dict):
                 raise click.UsageError(f"manifest {manifest_file} is not a JSON object")
             for key, value in loaded.items():
-                if isinstance(value, dict) and isinstance(base.get(key), dict):
+                if not isinstance(base.get(key), dict):
+                    base[key] = value
+                elif isinstance(value, dict):
                     base[key].update(value)
                 else:
-                    base[key] = value
+                    raise click.UsageError(
+                        f"manifest value '{key}' must be an object, got {value!r}"
+                    )
         for key, value in (overrides or {}).items():
             if value is None:
                 continue
@@ -114,6 +156,7 @@ class RunManifest:
             for p in parents:
                 node = node[p]
             node[leaf] = value
+        _check_values(base)
         return cls(base)
 
     def with_input_hashes(self):

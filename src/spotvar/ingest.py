@@ -117,25 +117,72 @@ def write_series_csv(path_or_buf, header, times, values, header_comment=None):
 
 
 def read_series_csv(path_or_buf):
-    """Read a two-column `time,value` CSV into lists of int times and float
-    values. Blank lines, `#` comments and an `open_time_ms` header are
-    skipped. A line that is not UTF-8 or not two numbers raises MalformedRow."""
-    times, values = [], []
+    """Read a two-column `time,value` CSV into C-contiguous int64 times and
+    float64 values. Blank lines, `#` comments and an `open_time_ms` header
+    are skipped. A line that is not UTF-8 or not two numbers raises
+    MalformedRow; a time outside the int64 range raises InvalidValue.
+
+    numpy's C parser reads the rows after the leading skipped lines. With
+    its deprecation warnings raised as errors it accepts no input the
+    per-line reader rejects: numpy before 2.0 reads an integer field such
+    as `1.0`, `1e3` or one beyond int64 through a float and only warns.
+    Whenever it rejects an input or cannot apply (a buffer that cannot
+    seek), the per-line reader decides: what it accepts, and the error and
+    line number it reports."""
     with _open(path_or_buf, "r") as f:
-        for i, line in enumerate(f, start=1):
+        seekable = getattr(f, "seekable", None)
+        if seekable and seekable():
+            start = f.tell()
             try:
-                line = line.strip()
-                if not line.isascii():
-                    line.encode("utf-8")  # raises on a lone surrogate
-                if not line or line.startswith("#") or line.lower().startswith("open_time_ms"):
-                    continue
-                t, v = line.split(",")
-                times.append(int(t))
-                values.append(float(v))
-            except UnicodeEncodeError as exc:
-                raise MalformedRow(i, "not UTF-8 text") from exc
-            except ValueError as exc:
-                raise MalformedRow(i, str(exc)) from exc
+                return _read_rows_fast(f)
+            except (ValueError, OverflowError, DeprecationWarning, EmptyInput):
+                f.seek(start)
+        times, values = _read_rows(f)
+    return int64_times(times), np.asarray(values, dtype=np.float64)
+
+
+def _skipped(line):
+    """Whether the stripped `line` is blank, a `#` comment or an
+    `open_time_ms` header. Raises UnicodeEncodeError on a lone surrogate."""
+    if not line.isascii():
+        line.encode("utf-8")
+    return not line or line.startswith("#") or line.lower().startswith("open_time_ms")
+
+
+def _read_rows_fast(f):
+    """Skip the leading lines `_skipped` skips, then parse the rest with
+    `np.loadtxt`."""
+    while True:
+        data_start = f.tell()
+        line = f.readline()
+        if not line:
+            raise EmptyInput("no data rows")
+        if not _skipped(line.strip()):
+            break
+    f.seek(data_start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = np.loadtxt(f, dtype=[("t", np.int64), ("v", np.float64)], delimiter=",",
+                          comments=None, ndmin=1)
+    # copies: a strided field view would change the summation order downstream
+    return np.ascontiguousarray(rows["t"]), np.ascontiguousarray(rows["v"])
+
+
+def _read_rows(f):
+    """The per-line reader: lists of int times and float values."""
+    times, values = [], []
+    for i, line in enumerate(f, start=1):
+        try:
+            line = line.strip()
+            if _skipped(line):
+                continue
+            t, v = line.split(",")
+            times.append(int(t))
+            values.append(float(v))
+        except UnicodeEncodeError as exc:
+            raise MalformedRow(i, "not UTF-8 text") from exc
+        except ValueError as exc:
+            raise MalformedRow(i, str(exc)) from exc
     if not times:
         raise EmptyInput("no data rows")
     return times, values
@@ -254,6 +301,25 @@ def _get_with_retries(session, url, params, cfg):
     raise NetworkError(f"{url}: retry budget exhausted ({last_exc})")
 
 
+def _kline_page(body, url):
+    """(open_time, close) of each row of a klines response body. An error
+    object such as `{"code": -1121, "msg": "Invalid symbol."}`, or a row that
+    is not a list of at least 5 numeric fields, raises NetworkError."""
+    if isinstance(body, dict) and "code" in body:
+        raise NetworkError(f"{url}: error {body['code']}: {body.get('msg', '')}")
+    if not isinstance(body, list):
+        raise NetworkError(f"{url}: expected a list of klines, got {type(body).__name__}")
+    rows = []
+    for row in body:
+        if not isinstance(row, list) or len(row) < 5:
+            raise NetworkError(f"{url}: expected a kline row of >= 5 fields, got {row!r:.80}")
+        try:
+            rows.append((int(row[0]), float(row[4])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NetworkError(f"{url}: unexpected kline row {row!r:.80} ({exc})") from exc
+    return rows
+
+
 def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=None):
     """Fetch 1m klines over [start_ms, end_ms) with pagination and retries.
 
@@ -280,16 +346,15 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
             "endTime": end_ms - 1,
             "limit": cfg.page_limit,
         }
-        page = _get_with_retries(session, cfg.endpoint, params, cfg)
+        page = _kline_page(_get_with_retries(session, cfg.endpoint, params, cfg), cfg.endpoint)
         if not page:
             break
-        for row in page:
-            t = int(row[0])
+        for t, close in page:
             if t >= end_ms:
                 break
             times.append(t)
-            closes.append(float(row[4]))
-        cursor = int(page[-1][0]) + (interval_ms or 1)
+            closes.append(close)
+        cursor = page[-1][0] + (interval_ms or 1)
         if len(page) < cfg.page_limit:
             break
         if cfg.pause_s:

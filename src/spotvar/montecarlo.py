@@ -9,6 +9,8 @@ the result is independent of worker count.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -99,7 +101,14 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSampl
     jobs = [(fitted, cfg, s) for s in seeds]
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # `simulate_path` imports scipy.signal lazily; importing it before the
+        # pool forks lets every worker share it instead of importing its own.
+        # That needs fork, which Python 3.14 no longer picks by default on
+        # Linux; other platforms keep their default and import it per worker.
+        import scipy.signal  # noqa: F401
+
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = list(pool.map(_one_replication, jobs, chunksize=8))
     else:
         results = [_one_replication(j) for j in jobs]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DegenerateSeries,
@@ -82,6 +81,10 @@ def conditional_moments(params: OUParams, v_t, horizon):
 def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0):
     """Exact-transition simulation; returns the path including v0
     (length n_steps + 1). Deterministic given rng_seed."""
+    # imported here: `import scipy.signal` takes over a second, and runs
+    # that never simulate should not pay it
+    from scipy.signal import lfilter
+
     params.validate()
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")

@@ -19,6 +19,16 @@ DAY_MS = 86_400_000
 YEAR_MS = 365 * DAY_MS
 
 
+def valid_probes(probes):
+    """Whether every percentile rank in `probes` lies in [0, 100]."""
+    return all(0 <= p <= 100 for p in probes)
+
+
+def _check_probes(probes):
+    if not valid_probes(probes):
+        raise InvalidArgument(f"probes must lie in [0, 100], got {probes}")
+
+
 @dataclass(frozen=True)
 class PercentileTable:
     probes: tuple  # percentile ranks in [0, 100]
@@ -27,8 +37,7 @@ class PercentileTable:
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(float(p) for p in self.probes))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(not 0 <= p <= 100 for p in self.probes):
-            raise InvalidArgument(f"probes must lie in [0, 100], got {self.probes}")
+        _check_probes(self.probes)
         order = np.argsort(self.probes)
         vals = np.array(self.values)[order]
         if np.any(np.diff(vals) < 0):
@@ -53,9 +62,10 @@ def percentiles(series: VariationSeries, probes) -> PercentileTable:
     """Empirical percentiles; rank 0 is the minimum, rank 100 the maximum."""
     if len(series) == 0:
         raise EmptySeries("cannot take percentiles of an empty series")
-    probes = [float(p) for p in probes]
+    probes = tuple(float(p) for p in probes)
+    _check_probes(probes)  # before np.percentile, whose own check raises ValueError
     vals = np.percentile(series.values, probes, method="linear")
-    return PercentileTable(probes=tuple(probes), values=tuple(vals))
+    return PercentileTable(probes=probes, values=tuple(vals))
 
 
 def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSlice]:

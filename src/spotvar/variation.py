@@ -74,8 +74,9 @@ class VariationSeries:
 
 def align(spot: PriceSeries, num: PriceSeries, den: PriceSeries) -> AlignedTriple:
     """Strict intersection of the three timestamp sets; no interpolation."""
-    common = np.intersect1d(spot.times, num.times)
-    common = np.intersect1d(common, den.times)
+    # PriceSeries timestamps are strictly increasing, hence unique
+    common = np.intersect1d(spot.times, num.times, assume_unique=True)
+    common = np.intersect1d(common, den.times, assume_unique=True)
     if len(common) == 0:
         raise EmptyIntersection(
             f"no common timestamps across {spot.symbol}/{num.symbol}/{den.symbol}"

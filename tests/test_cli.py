@@ -292,6 +292,7 @@ class TestSlicesOfReport:
 # 0.5**k is fitted exactly by all three Dickey-Fuller regressions: se(delta) = 0
 EXACT_FIT = "open_time_ms,variation\n" + "".join(f"{k * MINUTE_MS},{0.5**k!r}\n" for k in range(31))
 SIMULATE = "simulate --alpha 0.8 --mu 0 --sigma 0.001"
+SAMPLE_INPUTS = {leg: str(DATA / "sample_legs" / f"{leg}.csv") for leg in ("spot", "num", "den")}
 
 
 class TestExitCodes:
@@ -309,12 +310,20 @@ class TestExitCodes:
         ("fit --input VAR --dt 0", 2),
         ("report --manifest NOT_JSON", 2),
         ("report --manifest NOT_OBJECT", 2),
+        ("report --manifest MC_NOT_OBJECT", 2),
+        ("report --manifest PROBE_OUT_OF_RANGE", 2),
         ("dftest --input EXACT_FIT", 4),
     ])
     def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
         files = {"VAR": variation_csv}
-        for name, text in (("NOT_JSON", "{not json"), ("NOT_OBJECT", "[1, 2]"),
-                           ("EXACT_FIT", EXACT_FIT)):
+        for name, text in (
+            ("NOT_JSON", "{not json"),
+            ("NOT_OBJECT", "[1, 2]"),
+            ("MC_NOT_OBJECT", json.dumps({"inputs": SAMPLE_INPUTS, "mc": 5})),
+            ("PROBE_OUT_OF_RANGE",
+             json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": [150]})),
+            ("EXACT_FIT", EXACT_FIT),
+        ):
             files[name] = tmp_path / name
             files[name].write_text(text)
         args = [str(files.get(a, a)) for a in argv.split()]

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotvar import PriceSeries, VariationSeries, fetch_klines, parse_klines
+from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest, parse_klines
 from spotvar.errors import (
     EmptyInput,
     EmptyRange,
@@ -180,6 +181,140 @@ class TestArbitraryBytes:
             parse_klines(f"{2**63},1,1,1,1,1,{2**64}\n".encode(), "X")
 
 
+def _mostly(usual, odd):
+    """`usual` four times in five, else `odd`: most examples then hold
+    whole files the fast path accepts, so a looser fast path shows."""
+    return st.tuples(st.integers(0, 4), usual, odd).map(lambda t: t[1] if t[0] else t[2])
+
+
+_TIME_FIELD = _mostly(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(str),
+    st.one_of(
+        st.integers(min_value=2**63, max_value=2**66).map(str),  # beyond int64
+        st.integers(min_value=-(2**66), max_value=-(2**63) - 1).map(str),
+        st.sampled_from(["1_0", "\u0661\u0662", "+7", "007", " 5 ", "1.0", "1e3", "", "0x1f",
+                         "#1"]),
+    ),
+)
+_VALUE_FIELD = _mostly(
+    st.one_of(st.floats().map(repr), st.floats(width=32).map(str)),
+    st.sampled_from([
+        "nan", "-nan", "-inf", "Infinity", "1_0.5", "\u0663.\u0665", "1e400", ".5", "5.",
+        "0x1p3", "nan(1)", "", " 2.5\t", "2 5", "2.5#c", "2.5 # c", "2.5,",
+    ]),
+)
+_OTHER_LINE = st.sampled_from([
+    "", "   ", "\t", "\x0c", "\xa0", "# comment", "  # indented", "#caf\xe9",
+    "open_time_ms,close", "OPEN_TIME_MS,variation", "1,2,3", "abc", ",",
+])
+_CSV_TEXT = st.lists(
+    st.tuples(
+        _mostly(st.builds("{},{}".format, _TIME_FIELD, _VALUE_FIELD), _OTHER_LINE),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    ),
+    max_size=8,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+def _outcome(read):
+    """Arrays read, or the class and line number of the error raised."""
+    try:
+        return read()
+    except SpotvarError as exc:
+        return type(exc), getattr(exc, "line_no", None)
+
+
+def _per_line(buf):
+    times, values = ingest._read_rows(buf)
+    return ingest.int64_times(times), np.asarray(values, dtype=np.float64)
+
+
+def _assert_same_outcome(fast, per_line):
+    if isinstance(per_line[0], type):
+        assert fast == per_line
+        return
+    assert not isinstance(fast[0], type), fast
+    for got, want in zip(fast, per_line):
+        assert got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))  # bit-equal
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+class TestFastReaderMatchesPerLine:
+    """`read_series_csv` parses with numpy; whatever the text, it returns
+    what the per-line reader returns, bit for bit, or raises the same error
+    class at the same line."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential") / "input.csv"
+
+    @given(text=_CSV_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_same_outcome(self, scratch, text):
+        scratch.write_bytes(text.encode("utf-8"))
+        from_path = _outcome(lambda: ingest.read_series_csv(scratch))
+        with open(scratch, newline="", encoding="utf-8", errors="surrogateescape") as f:
+            _assert_same_outcome(from_path, _outcome(lambda: _per_line(f)))
+        from_buffer = _outcome(lambda: ingest.read_series_csv(io.StringIO(text)))
+        _assert_same_outcome(from_buffer, _outcome(lambda: _per_line(io.StringIO(text))))
+
+    @pytest.mark.parametrize("text", [
+        "open_time_ms,close\n60000,1.5\n",  # one row
+        "# c\r\n\r\n60000,1.5\r\n120000,nan\r\n",
+        "60000,1.5\n# interior comment\n120000,2.5\n",
+        "60000,1.5\n1_20000,2_5\n",
+        "\u0666\u0660000,1.5\n",
+        f"60000,1.5\n{2**63},2.5\n",
+        "60000,1.5\n120000,abc\n",
+        "60000,1.5\n1.0,2.5\n",
+        "60000,1.5\n1e3,2.5\n",
+    ])
+    def test_edge_cases(self, text):
+        """A one-row file, CRLF after a leading comment and blank line, and
+        seven inputs the fast path hands to the per-line reader."""
+        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(io.StringIO(text))),
+                             _outcome(lambda: _per_line(io.StringIO(text))))
+
+    @pytest.mark.parametrize("text", [
+        "60000,1.5\n1.0,2.5\n", "60000,1.5\n1e3,2.5\n", f"60000,1.5\n{2**63},2.5\n",
+    ])
+    def test_loadtxt_deprecation_falls_back(self, monkeypatch, text):
+        """numpy before 2.0 reads an integer field through a float and only
+        warns; that warning hands the text to the per-line reader."""
+        def loose_loadtxt(f, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            rows = [tuple(map(float, line.split(","))) for line in f.read().splitlines()]
+            with np.errstate(invalid="ignore"):  # a time beyond int64 wraps silently
+                return np.array(rows, dtype=[("t", np.float64), ("v", np.float64)]).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loose_loadtxt)
+        with pytest.raises(SpotvarError) as exc:
+            ingest.read_series_csv(io.StringIO(text))
+        assert _outcome(lambda: _per_line(io.StringIO(text))) == (
+            type(exc.value), getattr(exc.value, "line_no", None))
+
+    def test_unseekable_buffer_reads_line_by_line(self):
+        text = "open_time_ms,close\n60000,1.5\n120000,2.5\n"
+        times, values = ingest.read_series_csv(_Unseekable(text))
+        assert times.tolist() == [60000, 120000]
+        assert values.tolist() == [1.5, 2.5]
+        with pytest.raises(MalformedRow) as exc:
+            ingest.read_series_csv(_Unseekable(text + "oops\n"))
+        assert exc.value.line_no == 4
+
+    def test_buffer_read_from_its_position(self):
+        buf = io.StringIO("junk\n60000,1.5\n")
+        buf.readline()
+        assert ingest.read_series_csv(buf)[0].tolist() == [60000]
+
+
 def _kline_row(open_time, close=100.0):
     return [
         open_time, str(close), str(close), str(close), str(close),
@@ -202,18 +337,22 @@ class FakeResponse:
 
 class FakeSession:
     """Serves canned kline rows like the Binance klines endpoint; the first
-    `fail_first` calls answer with `fail_status`."""
+    `fail_first` calls answer with `fail_status`; with `body`, every other
+    call answers 200 with that body."""
 
-    def __init__(self, rows, fail_first=0, fail_status=503):
+    def __init__(self, rows, fail_first=0, fail_status=503, body=None):
         self.rows = rows
         self.fail_first = fail_first
         self.fail_status = fail_status
+        self.body = body
         self.calls = 0
 
     def get(self, url, params=None, timeout=None):
         self.calls += 1
         if self.calls <= self.fail_first:
             return FakeResponse(None, status=self.fail_status)
+        if self.body is not None:
+            return FakeResponse(self.body)
         start = params["startTime"]
         end = params["endTime"]
         limit = params["limit"]
@@ -313,6 +452,21 @@ class TestFetchKlines:
         with pytest.raises(NetworkError, match="not JSON"):
             fetch_klines("ETHBTC", 0, MINUTE_MS, session=Session(), config=cfg)
         assert (Session.calls, slept) == (1, [])
+
+    @pytest.mark.parametrize("body, message", [
+        ({"code": -1121, "msg": "Invalid symbol."}, "-1121: Invalid symbol."),
+        ({"unexpected": True}, "expected a list"),
+        ("not a list", "expected a list"),
+        ([[1504224000000, "1", "1", "1"]], ">= 5 fields"),
+        ([{"open_time": 1504224000000}], ">= 5 fields"),
+        ([[None, "1", "1", "1", "1"]], "unexpected kline row"),
+        ([[1504224000000, "1", "1", "1", "abc"]], "unexpected kline row"),
+    ])
+    def test_unexpected_200_body_is_network_error(self, body, message):
+        session = FakeSession([], body=body)
+        with pytest.raises(NetworkError, match=message):
+            fetch_klines("ETHBTC", 1504224000000, 1504224000000 + MINUTE_MS, session=session)
+        assert session.calls == 1  # a 200 body does not change on retry
 
 
 def test_find_gaps_reports_first_missing_minute():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotvar import VariationSeries, iqr, percentiles, split_years
-from spotvar.errors import EmptySeries, MissingRank
+from spotvar.errors import EmptySeries, InvalidArgument, MissingRank
 from spotvar.summary import DAY_MS, YEAR_MS, PercentileTable
 from spotvar import reports
 
@@ -25,6 +25,11 @@ class TestPercentiles:
     def test_empty_series_rejected(self):
         with pytest.raises(EmptySeries):
             percentiles(VariationSeries(np.array([], dtype=np.int64), np.array([])), [50])
+
+    @pytest.mark.parametrize("probe", [150, -1, float("nan")])
+    def test_probe_outside_0_100_is_invalid_argument(self, probe):
+        with pytest.raises(InvalidArgument, match="probes must lie in"):
+            percentiles(_series([0.1, 0.2, 0.3]), [50, probe])
 
     def test_rank_0_and_100_are_min_max(self):
         rng = np.random.default_rng(1)

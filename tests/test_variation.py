@@ -69,6 +69,34 @@ class TestAlign:
             assert set(triple.times.tolist()) == expected
 
 
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=200),
+            min_size=3,
+            max_size=3,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_intersect1d_without_assume_unique(self, minutes, seed):
+        """Legs with gaps: the same times, closes and `dropped` as the
+        hashing `np.intersect1d` the sorted-input align replaced."""
+        rng = np.random.default_rng(seed)
+        times = [T0 + MINUTE_MS * np.unique(np.array(m, dtype=np.int64)) for m in minutes]
+        legs = [price_series(name, t, rng.uniform(0.5, 2.0, len(t)))
+                for name, t in zip(("spot", "num", "den"), times)]
+        common = np.intersect1d(np.intersect1d(times[0], times[1]), times[2])
+        if len(common) == 0:
+            with pytest.raises(EmptyIntersection):
+                align(*legs)
+            return
+        triple = align(*legs)
+        assert np.array_equal(triple.times, common)
+        for name, leg in zip(("spot", "num", "den"), legs):
+            assert np.array_equal(getattr(triple, name), leg.closes[np.isin(leg.times, common)])
+            assert triple.dropped[name] == len(leg) - len(common)
+
+
 class TestComputeVariation:
     def test_quotient_equals_spot_is_near_zero(self):
         # 2100/30000 == 0.07 in the reals; float log rounding leaves <= 1 ulp
