@@ -81,10 +81,11 @@ _VALUE_CHECKS = {
     "year_split.epoch_start_ms": ("an integer", _integer),
     "year_split.n_years": ("an integer", _integer),
     "percentile_probes": (
-        "a list of numbers in [0, 100]",
-        lambda v: isinstance(v, list) and all(map(_number, v)) and valid_probes(v),
+        "a list of numbers in [0, 100] holding 25 and 75 (Table 3's IQR)",
+        lambda v: isinstance(v, list) and all(map(_number, v)) and valid_probes(v)
+        and {25, 75} <= set(v),
     ),
-    "df_level": ("a number", _number),
+    "df_level": ("0.01, the one tabulated level", lambda v: v == 0.01),
     "mc.replications": ("an integer", _integer),
     "mc.path_length": ("an integer or null", lambda v: v is None or _integer(v)),
     "mc.confidence": ("a number", _number),
@@ -108,7 +109,11 @@ class RunManifest:
     """Resolved run configuration plus content hashes of the inputs.
 
     The manifest hash covers everything that determines the outputs, so two
-    runs with the same hash must produce byte-identical bundles.
+    runs with the same hash must produce byte-identical bundles, at any
+    `--workers` and any BLAS thread count: Monte Carlo seeds are spawned per
+    replication, and the AR(1) core takes its dot products in slices of
+    10,000 elements, the most OpenBLAS computes in a `ddot` on one thread
+    (`unitroot._dot`).
     """
 
     def __init__(self, data):
@@ -234,7 +239,7 @@ def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
         table1 = _run("summary", percentiles, var, probes)
         slices = _run("summary", split_years, var, ys["epoch_start_ms"], ys["n_years"])
         year_tables = [(s.label, percentiles(s.series, probes)) for s in slices if len(s.series)]
-        year_iqrs = [(label, iqr(t)) for label, t in year_tables]
+        year_iqrs = [(label, _run("summary", iqr, t)) for label, t in year_tables]
         reports.percentile_table(table1, mhash).write(out)
         reports.yearwise_percentile_table(year_tables, mhash).write(out)
         reports.yearwise_iqr_table(year_iqrs, mhash).write(out)

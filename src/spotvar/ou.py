@@ -25,7 +25,7 @@ from .errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from .unitroot import DFModel, ar1_regression
+from .unitroot import DFModel, _dot, ar1_regression
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def log_likelihood(params: OUParams, series, dt=1.0):
 def _log_likelihood_trans(mu, omega, cond_sd, v):
     n = len(v) - 1
     resid = v[1:] - mu - (v[:-1] - mu) * omega
-    ss = float(resid @ resid)
+    ss = _dot(resid, resid)
     return -0.5 * n * math.log(2 * math.pi) - n * math.log(cond_sd) - ss / (2 * cond_sd**2)
 
 

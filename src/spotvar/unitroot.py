@@ -40,6 +40,26 @@ _CRITICAL_1PCT = {
 }
 
 
+# OpenBLAS runs a `ddot` on its thread pool only above this many elements
+_DOT_SLICE = 10_000
+
+
+def _dot(a, b):
+    """a @ b for 1-d float64 arrays, as the left-to-right sum of the BLAS dots
+    of consecutive slices of at most _DOT_SLICE elements.
+
+    No slice wakes OpenBLAS's thread pool, so the result does not depend on
+    the BLAS thread count (the threaded kernel sums per-thread partial dots),
+    and a Monte Carlo worker uses one core. Up to _DOT_SLICE elements this is
+    exactly the one call `a @ b`.
+    """
+    total = float(a[:_DOT_SLICE] @ b[:_DOT_SLICE])
+    for start in range(_DOT_SLICE, len(a), _DOT_SLICE):
+        stop = start + _DOT_SLICE
+        total += float(a[start:stop] @ b[start:stop])
+    return total
+
+
 @dataclass(frozen=True)
 class DFResult:
     variant: DFModel
@@ -83,23 +103,23 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     k = {DFModel.NO_CONST: 1, DFModel.CONST: 2, DFModel.CONST_TREND: 3}[variant]
     if n < k + 1:
         raise InsufficientData(f"{n} rows for {k} regressors")
-    x_norm = math.sqrt(x @ x)
+    x_norm = math.sqrt(_dot(x, x))
     x_mean = y_mean = trend_term = 0.0
     if variant is not DFModel.NO_CONST:
         x_mean, y_mean = float(x.mean()), float(y.mean())
         x, y = x - x_mean, y - y_mean
     if variant is DFModel.CONST_TREND:
         trend = np.arange(n) - (n - 1) / 2  # t = 1..n, centered
-        trend_norm = math.sqrt(trend @ trend)
+        trend_norm = math.sqrt(_dot(trend, trend))
         trend /= trend_norm
-        tx, ty = float(trend @ x), float(trend @ y)
+        tx, ty = _dot(trend, x), _dot(trend, y)
         x, y = x - tx * trend, y - ty * trend
-    xx = float(x @ x)
+    xx = _dot(x, x)
     if not math.sqrt(xx) > n * np.finfo(np.float64).eps * x_norm:  # nan fails too
         raise RankDeficient("lag is collinear with the deterministic terms")
-    delta = float(x @ y) / xx
+    delta = _dot(x, y) / xx
     resid = y - delta * x
-    rss = float(resid @ resid)
+    rss = _dot(resid, resid)
     if variant is DFModel.CONST_TREND:
         # trend coefficient times the mean of t, to refer the constant to t = 0
         trend_term = (ty - delta * tx) / trend_norm * (n + 1) / 2

@@ -1,13 +1,42 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spotvar
 from spotvar import OUParams, PriceSeries, VariationSeries, simulate_path
 
 MINUTE_MS = 60_000
 EPOCH_MS = 1_504_224_000_000  # 2017-09-01 00:00 UTC
+# the directory holding the spotvar package this process imported
+SOURCE_ROOT = str(Path(spotvar.__file__).resolve().parents[1])
+
+
+def child_env(env=None):
+    """This process's environment updated with `env`, with SOURCE_ROOT first
+    on PYTHONPATH as an absolute path: a child interpreter then imports the
+    same `spotvar` as this process, whatever its working directory, and
+    never an installed copy by accident."""
+    full_env = dict(os.environ)
+    if env:
+        full_env.update(env)
+    inherited = full_env.get("PYTHONPATH")
+    full_env["PYTHONPATH"] = SOURCE_ROOT + os.pathsep + inherited if inherited else SOURCE_ROOT
+    return full_env
+
+
+def run_python(code, env=None):
+    """Run `code` in a fresh interpreter under `child_env(env)`; returns its
+    standard output, stripped. A non-zero exit fails the calling test."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(env))
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 def minute_grid(start_ms, n):

@@ -125,17 +125,22 @@ def test_criterion_4_df_size_and_power():
 def test_criterion_5_ci_coverage():
     true = OUParams(alpha=0.5, mu=0.0, sigma=0.01)
     experiments, reps, n = 200, 200, 5_000
-    covered = 0
+    names = ("alpha", "mu", "sigma")
+    covered = dict.fromkeys(names, 0)
     for k in range(experiments):
         data = simulate_path(true, true.mu, n, 1.0, rng_seed=100_000 + k)
         fitted, _, _ = mle_fit(data, 1.0)
         cfg = McConfig(replications=reps, path_length=n, master_seed=200_000 + k)
         samples = sampling_distribution(fitted, cfg)
         report = confidence_intervals(samples, 0.90, fitted)
-        covered += report.lower["alpha"] <= true.alpha <= report.upper["alpha"]
-    rate = covered / experiments
-    assert 0.84 <= rate <= 0.96
-    _report(5, f"90% CI coverage of true alpha: {rate:.1%} in [84%, 96%]")
+        for name in names:
+            covered[name] += report.lower[name] <= getattr(true, name) <= report.upper[name]
+    rates = {name: covered[name] / experiments for name in names}
+    for name, rate in rates.items():
+        assert 0.84 <= rate <= 0.96, f"{name}: coverage {rate:.1%}"
+    _report(5, "90% CI coverage of the true parameters: "
+               + ", ".join(f"{name} {rate:.1%}" for name, rate in rates.items())
+               + ", each in [84%, 96%]")
 
 
 def test_criterion_6_summary_oracle_equivalence():

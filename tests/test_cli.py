@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -11,35 +10,25 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 import pytest
 
-import spotvar
-from conftest import MINUTE_MS
+from conftest import MINUTE_MS, child_env
 from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
 T0 = 1_504_224_000_000
-# the directory holding the spotvar package this process imported
-SOURCE_ROOT = str(Path(spotvar.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env=None, cwd=None):
     """Run ``python -m spotvar.cli`` in a child process.
 
-    The child imports the same ``spotvar`` as this process: its source root
-    goes first on the child's ``PYTHONPATH`` as an absolute path, so neither
-    a ``cwd`` nor an installed copy changes which code is tested.
+    The child imports the same ``spotvar`` as this process (see
+    ``conftest.child_env``), so neither a ``cwd`` nor an installed copy
+    changes which code is tested.
     """
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    inherited = full_env.get("PYTHONPATH")
-    full_env["PYTHONPATH"] = (
-        SOURCE_ROOT + os.pathsep + inherited if inherited else SOURCE_ROOT
-    )
     return subprocess.run(
         [sys.executable, "-m", "spotvar.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
         cwd=cwd,
     )
 
@@ -296,8 +285,9 @@ SAMPLE_INPUTS = {leg: str(DATA / "sample_legs" / f"{leg}.csv") for leg in ("spot
 
 
 class TestExitCodes:
-    """An out-of-range value is a usage error (exit 2) and an exactly fitted
-    series a numeric error (exit 4), reported in one line. Run in process,
+    """An out-of-range value is a usage error (exit 2), caught before any
+    input is read, and an exactly fitted series a numeric error (exit 4),
+    reported in one line. Run in process,
     so an uncaught exception (exit 1 from the console script) fails the test."""
 
     @pytest.mark.parametrize("argv, code", [
@@ -312,6 +302,9 @@ class TestExitCodes:
         ("report --manifest NOT_OBJECT", 2),
         ("report --manifest MC_NOT_OBJECT", 2),
         ("report --manifest PROBE_OUT_OF_RANGE", 2),
+        ("report --manifest PROBES_WITHOUT_QUARTILES", 2),
+        ("report --manifest NO_PROBES", 2),
+        ("report --manifest UNTABULATED_DF_LEVEL", 2),
         ("dftest --input EXACT_FIT", 4),
     ])
     def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
@@ -322,6 +315,10 @@ class TestExitCodes:
             ("MC_NOT_OBJECT", json.dumps({"inputs": SAMPLE_INPUTS, "mc": 5})),
             ("PROBE_OUT_OF_RANGE",
              json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": [150]})),
+            ("PROBES_WITHOUT_QUARTILES",
+             json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": [0, 50, 100]})),
+            ("NO_PROBES", json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": []})),
+            ("UNTABULATED_DF_LEVEL", json.dumps({"inputs": SAMPLE_INPUTS, "df_level": 0.05})),
             ("EXACT_FIT", EXACT_FIT),
         ):
             files[name] = tmp_path / name
@@ -333,6 +330,8 @@ class TestExitCodes:
             args += ["--out-dir", str(tmp_path / "out")]
         assert cli_entry(args) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        # a configuration error is caught before any input is read
+        assert not (tmp_path / "out" / "variation.csv").exists()
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

@@ -4,36 +4,21 @@ import it once in the parent, before the pool forks, rather than once in
 every worker. Each check runs in a fresh interpreter, since this one may
 have imported scipy already."""
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import spotvar
+from conftest import run_python
 from spotvar import McConfig, OUParams, montecarlo
-
-SOURCE_ROOT = str(Path(spotvar.__file__).resolve().parents[1])
-
-
-def _run_python(code):
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = SOURCE_ROOT + os.pathsep + inherited if inherited else SOURCE_ROOT
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
 
 
 def test_cli_import_leaves_scipy_signal_out():
-    loaded = _run_python("import sys, spotvar.cli; print('scipy.signal' in sys.modules)")
+    loaded = run_python("import sys, spotvar.cli; print('scipy.signal' in sys.modules)")
     assert loaded == "False"
 
 
 def test_parallel_sampling_imports_scipy_signal_in_the_parent():
-    loaded = _run_python(
+    loaded = run_python(
         "import sys\n"
         "from spotvar import McConfig, OUParams, sampling_distribution\n"
         "cfg = McConfig(replications=4, path_length=100, master_seed=1)\n"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spotvar.errors import (
     SeriesTooShort,
     UnsupportedLevel,
 )
+from spotvar.unitroot import _dot
 
 
 class TestAR1Regression:
@@ -51,6 +53,25 @@ class TestAR1Regression:
             ar1_regression(np.array([1.0, 2.0]), DFModel.NO_CONST)
         with pytest.raises(InsufficientData):
             ar1_regression(np.array([1.0, 2.0, 4.0]), DFModel.CONST_TREND)
+
+
+class TestSlicedDot:
+    """`_dot` adds the BLAS dots of consecutive 10,000-element slices."""
+
+    @pytest.mark.parametrize("n", [1, 9_999, 10_000])
+    def test_one_slice_is_the_plain_dot(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert _dot(a, b).hex() == float(a @ b).hex()
+        assert _dot(a, a).hex() == float(a @ a).hex()
+
+    def test_three_slices_within_rounding_of_exact(self):
+        n = 25_000
+        rng = np.random.default_rng(25)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist()))
+        bound = n * np.finfo(np.float64).eps * math.fsum(np.abs(a * b))
+        assert abs(Fraction(_dot(a, b)) - exact) <= bound
 
 
 class TestCriticalValues:
