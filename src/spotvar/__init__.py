@@ -15,7 +15,6 @@ from .unitroot import AR1Fit, DFModel, DFResult, ar1_regression, df_test, critic
 from .ou import (
     OUParams,
     TransitionParams,
-    conditional_moments,
     simulate_path,
     log_likelihood,
     mle_fit,
@@ -50,7 +49,6 @@ __all__ = [
     "critical_value",
     "OUParams",
     "TransitionParams",
-    "conditional_moments",
     "simulate_path",
     "log_likelihood",
     "mle_fit",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,11 +21,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, NetworkError, NumericError, SpotvarError
+from .errors import DataError, InvalidArgument, NetworkError, NumericError, SpotvarError
 from .ingest import PriceSeries, FetchConfig, fetch_klines, parse_klines
 from .montecarlo import McConfig, confidence_intervals, sampling_distribution
 from .ou import OUParams, log_likelihood, mle_fit, simulate_path
-from .summary import iqr, percentiles, split_years, valid_probes
+from .summary import check_n_years, iqr, percentiles, split_years, valid_probes
 from .unitroot import DFModel, df_test
 from .variation import VariationSeries, align, compute_variation
 from . import reports
@@ -67,7 +68,9 @@ def _sha256_file(path):
 
 
 def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: `json.loads` also accepts NaN and Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and (
+        isinstance(v, int) or math.isfinite(v))
 
 
 def _integer(v):
@@ -77,7 +80,7 @@ def _integer(v):
 # what each configuration value must be, checked before any input is read
 _VALUE_CHECKS = {
     "inputs": ("an object of paths", lambda v: all(isinstance(p, str) for p in v.values())),
-    "dt": ("a number", _number),
+    "dt": ("a number > 0", lambda v: _number(v) and v > 0),
     "year_split.epoch_start_ms": ("an integer", _integer),
     "year_split.n_years": ("an integer", _integer),
     "percentile_probes": (
@@ -97,12 +100,32 @@ _VALUE_CHECKS = {
 
 def _check_values(data):
     """Raise UsageError naming the first configuration value that is not
-    what `_VALUE_CHECKS` requires."""
+    what `_VALUE_CHECKS` requires, then run the range checks of the Monte
+    Carlo settings and the year split on the well-typed values."""
     for key, (what, ok) in _VALUE_CHECKS.items():
         section, _, leaf = key.rpartition(".")
         value = data[section][leaf] if section else data[key]
         if not ok(value):
             raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
+    try:
+        _mc_config(data, McConfig.path_length)
+        check_n_years(data["year_split"]["n_years"])
+    except InvalidArgument as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
+def _mc_config(cfg, n):
+    """The Monte Carlo settings of the resolved config `cfg`; a null path
+    length means `n`, the sample size."""
+    mc = cfg["mc"]
+    return McConfig(
+        replications=mc["replications"],
+        path_length=mc["path_length"] or n,
+        dt=cfg["dt"],
+        confidence=mc["confidence"],
+        master_seed=mc["master_seed"],
+        initial_value=mc["initial_value"],
+    )
 
 
 class RunManifest:
@@ -222,16 +245,8 @@ def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
     resolved config `cfg`. Returns the DF results, fitted parameters and
     intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"."""
     dt = cfg["dt"]
-    if "ci" in tables:  # before any work, so a bad MC setting fails at once
-        mc = cfg["mc"]
-        mc_cfg = McConfig(
-            replications=mc["replications"],
-            path_length=mc["path_length"] or len(var),
-            dt=dt,
-            confidence=mc["confidence"],
-            master_seed=mc["master_seed"],
-            initial_value=mc["initial_value"],
-        )
+    if "ci" in tables:  # before any work: a sample too short to simulate fails at once
+        mc_cfg = _mc_config(cfg, len(var))
     out.mkdir(parents=True, exist_ok=True)
     done = {}
     if "summary" in tables:
@@ -259,8 +274,9 @@ def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
 
 
 def _slice(input_path, out_dir, tables, overrides=None, **kw):
+    cfg = RunManifest.resolve(None, overrides).data
     var = _run("load", VariationSeries.from_csv, input_path)
-    return _tables(var, RunManifest.resolve(None, overrides).data, Path(out_dir), tables, **kw)
+    return _tables(var, cfg, Path(out_dir), tables, **kw)
 
 
 def _out_dir_option(default="."):
@@ -366,7 +382,7 @@ def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
 @click.option("--path-length", type=int, default=None, help="default: sample size")
 @click.option("--confidence", type=float, default=0.90, show_default=True)
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
-@click.option("--workers", type=int, envvar="SPOTVAR_WORKERS", default=1)
+@click.option("--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=1)
 @_dt_option
 @_out_dir_option()
 def ci(input_path, replications, path_length, confidence, seed, workers, dt, out_dir):
@@ -390,7 +406,7 @@ def ci(input_path, replications, path_length, confidence, seed, workers, dt, out
 @click.option("--den", type=click.Path(exists=True), default=None)
 @_out_dir_option("report")
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=None)
-@click.option("--workers", type=int, envvar="SPOTVAR_WORKERS", default=1)
+@click.option("--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=1)
 @click.option("--replications", type=int, default=None)
 @click.option("--path-length", type=int, default=None)
 @click.option("--skip-mc", is_flag=True, default=None)

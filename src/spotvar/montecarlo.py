@@ -12,7 +12,8 @@ from __future__ import annotations
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,15 +81,26 @@ class CIReport:
         }
 
 
-def _one_replication(args):
-    fitted, cfg, seed = args
+# seeds per pool job; each job reuses one path buffer for all of them
+_CHUNK = 8
+
+
+def _replications(fitted, cfg, seeds):
+    """Simulate and refit one replication per seed, all through one path
+    buffer. Returns (alpha, mu, sigma) per seed, or None where the refit
+    raised a SpotvarError."""
     v0 = cfg.initial_value if cfg.initial_value is not None else fitted.mu
-    path = simulate_path(fitted, v0, cfg.path_length, cfg.dt, rng_seed=seed)
-    try:
-        params, _, _ = mle_fit(path, cfg.dt)
-    except SpotvarError:
-        return None
-    return params.alpha, params.mu, params.sigma
+    path = np.empty(cfg.path_length + 1)
+    results = []
+    for seed in seeds:
+        simulate_path(fitted, v0, cfg.path_length, cfg.dt, rng_seed=seed, out=path)
+        try:
+            params, _, _ = mle_fit(path, cfg.dt)
+        except SpotvarError:
+            results.append(None)
+            continue
+        results.append((params.alpha, params.mu, params.sigma))
+    return results
 
 
 def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSamples:
@@ -98,7 +110,8 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSampl
     """
     fitted.validate()
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.replications)
-    jobs = [(fitted, cfg, s) for s in seeds]
+    chunks = [seeds[i:i + _CHUNK] for i in range(0, len(seeds), _CHUNK)]
+    job = partial(_replications, fitted, cfg)
 
     if workers > 1:
         # `simulate_path` imports scipy.signal lazily; importing it before the
@@ -109,9 +122,11 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSampl
 
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            results = list(pool.map(_one_replication, jobs, chunksize=8))
+            per_chunk = list(pool.map(job, chunks))
     else:
-        results = [_one_replication(j) for j in jobs]
+        per_chunk = [job(chunk) for chunk in chunks]
+    # chunks come back in order, so results are in seed order at any worker count
+    results = [r for chunk in per_chunk for r in chunk]
 
     ok = [r for r in results if r is not None]
     n_failed = cfg.replications - len(ok)

@@ -1,4 +1,4 @@
-"""Ornstein-Uhlenbeck process: moments, exact simulation, closed-form MLE.
+"""Ornstein-Uhlenbeck process: transition law, exact simulation, closed-form MLE.
 
 The process dv = alpha*(mu - v)dt + sigma*dW has Gaussian transitions
   v_{t+h} | v_t ~ N(mu + (v_t - mu)*exp(-alpha*h),
@@ -43,9 +43,6 @@ class OUParams:
                 f"require alpha > 0, sigma > 0, mu finite; got {self}"
             )
 
-    def stationary_variance(self):
-        return self.sigma**2 / (2 * self.alpha)
-
 
 @dataclass(frozen=True)
 class TransitionParams:
@@ -67,20 +64,13 @@ def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
     return TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
 
 
-def conditional_moments(params: OUParams, v_t, horizon):
-    """Mean and variance of v at `horizon` time units ahead, given v_t."""
-    params.validate()
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    decay = math.exp(-params.alpha * horizon)
-    mean = params.mu + (v_t - params.mu) * decay
-    var = params.sigma**2 / (2 * params.alpha) * (1 - decay**2)
-    return mean, var
-
-
-def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0):
+def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
     """Exact-transition simulation; returns the path including v0
-    (length n_steps + 1). Deterministic given rng_seed."""
+    (length n_steps + 1). Deterministic given rng_seed.
+
+    With `out`, a contiguous float64 array of length n_steps + 1, the path is
+    written into it and `out` is returned: a Monte Carlo loop reuses one
+    buffer for every path, with the same values as a fresh one."""
     # imported here: `import scipy.signal` takes over a second, and runs
     # that never simulate should not pay it
     from scipy.signal import lfilter
@@ -90,15 +80,23 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0):
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
     if not dt > 0:
         raise InvalidArgument(f"dt must be > 0, got {dt}")
+    if out is None:
+        out = np.empty(n_steps + 1)
+    elif not (isinstance(out, np.ndarray) and out.shape == (n_steps + 1,)
+              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        raise InvalidArgument(
+            f"out must be a writable contiguous float64 array of length {n_steps + 1}"
+        )
     tp = transition_params(params, dt)
-    rng = np.random.default_rng(rng_seed)
-    shocks = tp.cond_sd * rng.standard_normal(n_steps)
+    # the shocks are drawn and scaled in the path's own tail
+    shocks = out[1:]
+    np.random.default_rng(rng_seed).standard_normal(out=shocks)
+    shocks *= tp.cond_sd
     # v - mu is an AR(1) with coefficient omega; lfilter runs the recursion
     # v_k - mu = omega * (v_{k-1} - mu) + shock_k in C.
     x, _ = lfilter([1.0], [1.0, -tp.omega], shocks, zi=[tp.omega * (v0 - params.mu)])
-    out = np.empty(n_steps + 1)
+    np.add(x, params.mu, out=shocks)
     out[0] = v0
-    out[1:] = x + params.mu
     return out
 
 
@@ -161,31 +159,3 @@ def mle_fit(series, dt=1.0):
     tp = TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
     tp.validate()
     return params, tp, reg
-
-
-def numeric_refine(series, start: OUParams, dt=1.0, fatol=1e-10, xatol=1e-12):
-    """Derivative-free local maximization of the log-likelihood starting at
-    `start`. Returns (OUParams, log-likelihood). Used to verify that the
-    closed form is a stationary maximum."""
-    from scipy.optimize import minimize
-
-    v = np.asarray(getattr(series, "values", series), dtype=np.float64)
-
-    def neg_ll(theta):
-        mu, log_alpha, log_sigma = theta
-        try:
-            p = OUParams(alpha=math.exp(log_alpha), mu=mu, sigma=math.exp(log_sigma))
-            return -log_likelihood(p, v, dt)
-        except (InvalidParams, OverflowError):
-            return math.inf
-
-    x0 = np.array([start.mu, math.log(start.alpha), math.log(start.sigma)])
-    res = minimize(
-        neg_ll,
-        x0,
-        method="Nelder-Mead",
-        options={"fatol": fatol, "xatol": xatol, "maxiter": 2000},
-    )
-    mu, log_alpha, log_sigma = res.x
-    refined = OUParams(alpha=math.exp(log_alpha), mu=mu, sigma=math.exp(log_sigma))
-    return refined, -res.fun

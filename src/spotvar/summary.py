@@ -68,6 +68,11 @@ def percentiles(series: VariationSeries, probes) -> PercentileTable:
     return PercentileTable(probes=probes, values=tuple(vals))
 
 
+def check_n_years(n_years):
+    if n_years < 1:
+        raise InvalidArgument(f"n_years must be >= 1, got {n_years}")
+
+
 def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSlice]:
     """Partition into 365-day slices; the last slice extends to the sample end.
 
@@ -75,8 +80,7 @@ def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSl
     outside the nominal windows are clamped into the first/last slice so
     every sample lands in exactly one slice.
     """
-    if n_years < 1:
-        raise InvalidArgument(f"n_years must be >= 1, got {n_years}")
+    check_n_years(n_years)
     slices = []
     sample_end = int(series.times[-1]) + 1 if len(series) else epoch_start_ms + n_years * YEAR_MS
     year_idx = np.clip((series.times - epoch_start_ms) // YEAR_MS, 0, n_years - 1)

@@ -96,6 +96,9 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     not depend on the units of the series or on the length of the trend.
     Raises InsufficientData when rows <= regressors and RankDeficient when
     the lag is numerically a deterministic term.
+
+    Works in place on the two arrays it allocates, the difference and the
+    centered lag; the input series is never written.
     """
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
     x, y = v[:-1], np.diff(v)
@@ -107,19 +110,26 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     x_mean = y_mean = trend_term = 0.0
     if variant is not DFModel.NO_CONST:
         x_mean, y_mean = float(x.mean()), float(y.mean())
-        x, y = x - x_mean, y - y_mean
+        x = x - x_mean  # from here on x is ours, no longer a view of v
+        y -= y_mean
     if variant is DFModel.CONST_TREND:
         trend = np.arange(n) - (n - 1) / 2  # t = 1..n, centered
         trend_norm = math.sqrt(_dot(trend, trend))
         trend /= trend_norm
         tx, ty = _dot(trend, x), _dot(trend, y)
-        x, y = x - tx * trend, y - ty * trend
+        x -= tx * trend
+        y -= ty * trend
     xx = _dot(x, x)
     if not math.sqrt(xx) > n * np.finfo(np.float64).eps * x_norm:  # nan fails too
         raise RankDeficient("lag is collinear with the deterministic terms")
     delta = _dot(x, y) / xx
-    resid = y - delta * x
-    rss = _dot(resid, resid)
+    # the residual y - delta * x, built in y; model (a)'s x is the caller's
+    if variant is DFModel.NO_CONST:
+        x = delta * x
+    else:
+        x *= delta
+    y -= x
+    rss = _dot(y, y)
     if variant is DFModel.CONST_TREND:
         # trend coefficient times the mean of t, to refer the constant to t = 0
         trend_term = (ty - delta * tx) / trend_norm * (n + 1) / 2

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import spotvar
-from spotvar import OUParams, PriceSeries, VariationSeries, simulate_path
+from spotvar import OUParams, PriceSeries, VariationSeries, log_likelihood, simulate_path
+from spotvar.errors import InvalidParams
 
 MINUTE_MS = 60_000
 EPOCH_MS = 1_504_224_000_000  # 2017-09-01 00:00 UTC
@@ -91,6 +92,49 @@ def exact_ar1_regression(values, model):
     rss = sum(a * a for a in y) - sum(b * c for b, c in zip(beta, xty))
     se2 = rss / (n - k) * rows[0][k + 1]
     return n, beta[0], se2, beta[1] if k > 1 else Fraction(0), rss
+
+
+def stationary_variance(params: OUParams):
+    return params.sigma**2 / (2 * params.alpha)
+
+
+def conditional_moments(params: OUParams, v_t, horizon):
+    """Mean and variance of v at `horizon` time units ahead, given v_t."""
+    params.validate()
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    decay = math.exp(-params.alpha * horizon)
+    mean = params.mu + (v_t - params.mu) * decay
+    var = params.sigma**2 / (2 * params.alpha) * (1 - decay**2)
+    return mean, var
+
+
+def numeric_refine(series, start: OUParams, dt=1.0, fatol=1e-10, xatol=1e-12):
+    """Derivative-free local maximization of the log-likelihood starting at
+    `start`. Returns (OUParams, log-likelihood). Used to verify that the
+    closed form is a stationary maximum."""
+    from scipy.optimize import minimize
+
+    v = np.asarray(getattr(series, "values", series), dtype=np.float64)
+
+    def neg_ll(theta):
+        mu, log_alpha, log_sigma = theta
+        try:
+            p = OUParams(alpha=math.exp(log_alpha), mu=mu, sigma=math.exp(log_sigma))
+            return -log_likelihood(p, v, dt)
+        except (InvalidParams, OverflowError):
+            return math.inf
+
+    x0 = np.array([start.mu, math.log(start.alpha), math.log(start.sigma)])
+    res = minimize(
+        neg_ll,
+        x0,
+        method="Nelder-Mead",
+        options={"fatol": fatol, "xatol": xatol, "maxiter": 2000},
+    )
+    mu, log_alpha, log_sigma = res.x
+    refined = OUParams(alpha=math.exp(log_alpha), mu=mu, sigma=math.exp(log_sigma))
+    return refined, -res.fun
 
 
 @pytest.fixture

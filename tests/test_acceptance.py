@@ -27,12 +27,11 @@ from spotvar import (
     sampling_distribution,
     simulate_path,
 )
-from spotvar.ou import numeric_refine
 from spotvar.unitroot import DFModel
 from spotvar import reports
 from spotvar.summary import PercentileTable
 
-from conftest import minute_grid, quantile_oracle
+from conftest import minute_grid, numeric_refine, quantile_oracle
 from test_cli import bundle_digest, run_cli
 
 TABLE5 = OUParams(alpha=0.845728, mu=-2.424382e-05, sigma=0.001703)

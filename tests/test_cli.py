@@ -305,6 +305,14 @@ class TestExitCodes:
         ("report --manifest PROBES_WITHOUT_QUARTILES", 2),
         ("report --manifest NO_PROBES", 2),
         ("report --manifest UNTABULATED_DF_LEVEL", 2),
+        ("report --manifest NAN_DT", 2),
+        ("report --manifest NEGATIVE_DT", 2),
+        ("report --manifest CONFIDENCE_ABOVE_ONE", 2),
+        ("report --manifest NO_YEARS", 2),
+        ("report --manifest INFINITE_INITIAL_VALUE", 2),
+        ("report --manifest SAMPLE --path-length 2", 2),
+        ("report --manifest SAMPLE --workers 0", 2),
+        ("ci --input VAR --workers 0", 2),
         ("dftest --input EXACT_FIT", 4),
     ])
     def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
@@ -319,6 +327,14 @@ class TestExitCodes:
              json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": [0, 50, 100]})),
             ("NO_PROBES", json.dumps({"inputs": SAMPLE_INPUTS, "percentile_probes": []})),
             ("UNTABULATED_DF_LEVEL", json.dumps({"inputs": SAMPLE_INPUTS, "df_level": 0.05})),
+            ("NAN_DT", json.dumps({"inputs": SAMPLE_INPUTS, "dt": float("nan")})),
+            ("NEGATIVE_DT", json.dumps({"inputs": SAMPLE_INPUTS, "dt": -1})),
+            ("CONFIDENCE_ABOVE_ONE",
+             json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"confidence": 1.5}})),
+            ("NO_YEARS", json.dumps({"inputs": SAMPLE_INPUTS, "year_split": {"n_years": 0}})),
+            ("INFINITE_INITIAL_VALUE",
+             json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"initial_value": float("inf")}})),
+            ("SAMPLE", json.dumps({"inputs": SAMPLE_INPUTS})),
             ("EXACT_FIT", EXACT_FIT),
         ):
             files[name] = tmp_path / name
@@ -332,6 +348,18 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         # a configuration error is caught before any input is read
         assert not (tmp_path / "out" / "variation.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ci --input VAR", "report --manifest SAMPLE"])
+    def test_zero_workers_from_the_environment(self, tmp_path, variation_csv, capsys,
+                                               monkeypatch, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"inputs": SAMPLE_INPUTS}))
+        files = {"VAR": str(variation_csv), "SAMPLE": str(manifest)}
+        monkeypatch.setenv("SPOTVAR_WORKERS", "0")
+        args = [files.get(a, a) for a in command.split()] + ["--out-dir", str(tmp_path / "out")]
+        assert cli_entry(args) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

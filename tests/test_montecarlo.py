@@ -6,7 +6,9 @@ from spotvar import (
     McSamples,
     OUParams,
     confidence_intervals,
+    mle_fit,
     sampling_distribution,
+    simulate_path,
 )
 from spotvar.errors import InsufficientReplications, TooManyFailures
 from spotvar import montecarlo
@@ -38,6 +40,20 @@ class TestSamplingDistribution:
         assert np.array_equal(seq.alpha, par.alpha)
         assert np.array_equal(seq.mu, par.mu)
         assert np.array_equal(seq.sigma, par.sigma)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_give_each_seed_its_fresh_replication(self, workers):
+        """Replications share a path buffer per chunk of seeds; each still
+        equals a fresh simulate-and-refit of its own seed, in seed order,
+        across a partial last chunk."""
+        cfg = McConfig(replications=11, path_length=400, master_seed=5, initial_value=1e-4)
+        samples = sampling_distribution(FITTED, cfg, workers=workers)
+        fresh = []
+        for seed in np.random.SeedSequence(5).spawn(11):
+            params, _, _ = mle_fit(simulate_path(FITTED, 1e-4, 400, 1.0, rng_seed=seed))
+            fresh.append((params.alpha, params.mu, params.sigma))
+        assert np.array_equal(np.column_stack([samples.alpha, samples.mu, samples.sigma]),
+                              np.array(fresh))
 
     def test_low_noise_concentration(self):
         fitted = OUParams(0.5, -2e-5, 1e-8)

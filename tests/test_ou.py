@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from conftest import exact_ar1_regression
+from conftest import conditional_moments, exact_ar1_regression, numeric_refine, stationary_variance
 from spotvar import (
     OUParams,
-    conditional_moments,
+    VariationSeries,
     log_likelihood,
     mle_fit,
     simulate_path,
@@ -21,7 +21,7 @@ from spotvar.errors import (
     NonMeanReverting,
     SeriesTooShort,
 )
-from spotvar.ou import numeric_refine, transition_params
+from spotvar.ou import transition_params
 
 # Table-5-scale parameters used throughout as a realistic operating point
 ALPHA, MU, SIGMA = 0.845728, -2.424382e-05, 0.001703
@@ -46,7 +46,7 @@ class TestConditionalMoments:
 
     def test_variance_saturates_at_stationary(self):
         _, var = conditional_moments(PARAMS, 0.001, 1e6)
-        assert var == pytest.approx(PARAMS.stationary_variance(), rel=1e-12)
+        assert var == pytest.approx(stationary_variance(PARAMS), rel=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParams):
@@ -74,11 +74,31 @@ class TestSimulatePath:
         path = simulate_path(PARAMS, MU, n, 1.0, rng_seed=123)
         se = SIGMA / math.sqrt(2 * ALPHA * n)
         assert abs(path.mean() - MU) < 3 * se
-        assert path.var() == pytest.approx(PARAMS.stationary_variance(), rel=0.02)
+        assert path.var() == pytest.approx(stationary_variance(PARAMS), rel=0.02)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             simulate_path(OUParams(0.0, 0.0, 1.0), 0.0, 10)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5000, 20001])
+    def test_out_buffer_is_bit_equal_to_a_fresh_path(self, n_steps):
+        buf = np.full(n_steps + 1, np.nan)
+        path = simulate_path(PARAMS, 0.001, n_steps, 1.0, rng_seed=9, out=buf)
+        assert path is buf
+        assert np.array_equal(buf, simulate_path(PARAMS, 0.001, n_steps, 1.0, rng_seed=9))
+
+    def test_reused_buffer_gives_each_seed_its_fresh_path(self):
+        buf = np.empty(5001)
+        for seed in (1, 2):
+            simulate_path(PARAMS, MU, 5000, 1.0, rng_seed=seed, out=buf)
+            assert np.array_equal(buf, simulate_path(PARAMS, MU, 5000, 1.0, rng_seed=seed))
+
+    @pytest.mark.parametrize("buf", [
+        np.empty(10), np.empty(12), np.empty(11, dtype=np.float32), np.empty(22)[::2], [0.0] * 11,
+    ])
+    def test_out_buffer_of_the_wrong_shape_or_type(self, buf):
+        with pytest.raises(InvalidArgument):
+            simulate_path(PARAMS, 0.0, 10, out=buf)
 
 
 class TestLogLikelihood:
@@ -188,6 +208,14 @@ class TestMleFit:
             fitted, _, _ = mle_fit(path)
             errs.append(abs(fitted.alpha - true.alpha) / true.alpha)
         assert errs[1] < errs[0]
+
+    @pytest.mark.parametrize("wrap", [np.asarray, lambda v: VariationSeries(np.arange(len(v)), v)])
+    def test_input_is_never_written(self, wrap):
+        series = wrap(simulate_path(PARAMS, 0.001, 2000, 1.0, rng_seed=6))
+        values = getattr(series, "values", series)
+        before = values.copy()
+        mle_fit(series, 1.0)
+        assert values.tobytes() == before.tobytes()
 
     def test_dt_rescaling(self):
         # same path read at dt=60 should report alpha 60x smaller and

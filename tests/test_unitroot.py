@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_ar1_regression
-from spotvar import DFModel, ar1_regression, critical_value, df_test
+from spotvar import DFModel, VariationSeries, ar1_regression, critical_value, df_test
 from spotvar.errors import (
     InsufficientData,
     NumericalBreakdown,
@@ -47,6 +47,19 @@ class TestAR1Regression:
         # a linear series: the lag is the trend column
         with pytest.raises(RankDeficient):
             ar1_regression(0.3 + 0.7 * np.arange(40), DFModel.CONST_TREND)
+
+    @pytest.mark.parametrize("model", list(DFModel))
+    @pytest.mark.parametrize("wrap", [np.asarray, lambda v: VariationSeries(np.arange(len(v)), v)])
+    def test_input_is_never_written(self, model, wrap):
+        """The core works in place on its own arrays; model (a)'s lag is a
+        view of the input, so its residual must not be formed there."""
+        rng = np.random.default_rng(4)
+        series = wrap(0.01 + np.cumsum(rng.normal(size=500)) * 1e-3)
+        values = getattr(series, "values", series)
+        before = values.copy()
+        ar1_regression(series, model)
+        df_test(series, model)
+        assert values.tobytes() == before.tobytes()
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientData):
