@@ -8,7 +8,7 @@ quantifies estimator accuracy with parametric Monte Carlo.
 
 __version__ = "0.1.0"
 
-from .ingest import Kline, PriceSeries, parse_klines, fetch_klines
+from .ingest import PriceSeries, parse_klines, fetch_klines
 from .variation import AlignedTriple, VariationSeries, align, compute_variation
 from .summary import PercentileTable, YearSlice, percentiles, split_years, iqr
 from .unitroot import AR1Fit, DFModel, DFResult, ar1_regression, df_test, critical_value
@@ -28,7 +28,6 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "Kline",
     "PriceSeries",
     "parse_klines",
     "fetch_klines",

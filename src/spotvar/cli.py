@@ -6,7 +6,7 @@
 defaults. Precedence: flag > environment variable > manifest file.
 
 Exit codes: 0 success, 2 usage error (an out-of-range value included),
-3 data error, 4 numeric error, 5 network error.
+else the `exit_code` of the error's category in `spotvar.errors`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, InvalidArgument, NetworkError, NumericError, SpotvarError
-from .ingest import PriceSeries, FetchConfig, fetch_klines, parse_klines
+from .errors import InvalidArgument, SpotvarError
+from .ingest import BINANCE_KLINES_URL, FetchConfig, fetch_klines, read_leg
 from .montecarlo import McConfig, confidence_intervals, sampling_distribution
 from .ou import OUParams, log_likelihood, mle_fit, simulate_path
 from .summary import check_n_years, iqr, percentiles, split_years, valid_probes
@@ -35,28 +35,11 @@ DEFAULT_EPOCH_MS = 1_504_224_000_000
 LEGS = ("spot", "num", "den")
 TABLES = ("summary", "df", "fit", "ci")
 
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_NETWORK = 5
-
 
 class StageError(SpotvarError):
     def __init__(self, stage, cause):
-        self.stage = stage
-        self.cause = cause
+        self.exit_code = cause.exit_code
         super().__init__(f"stage '{stage}': {cause}")
-
-
-def _exit_code(exc):
-    cause = exc.cause if isinstance(exc, StageError) else exc
-    if isinstance(cause, NetworkError):
-        return EXIT_NETWORK
-    if isinstance(cause, NumericError):
-        return EXIT_NUMERIC
-    if isinstance(cause, DataError):
-        return EXIT_DATA
-    return EXIT_USAGE
 
 
 def _sha256_file(path):
@@ -189,15 +172,18 @@ class RunManifest:
 
     def with_input_hashes(self):
         """Add the SHA-256 of every input; relative paths resolve against
-        the working directory. A missing input is a usage error."""
-        inputs = sorted(self.data["inputs"].items())
-        for leg, path in inputs:
-            if not Path(path).is_file():
+        the working directory. A leg without an input, or an input that is
+        not a file, is a usage error."""
+        inputs = self.data["inputs"]
+        for leg in sorted({*LEGS, *inputs}):
+            if not inputs.get(leg):
+                raise click.UsageError(f"missing input for leg '{leg}'")
+            if not Path(inputs[leg]).is_file():
                 raise click.UsageError(
-                    f"input for leg '{leg}' not found: {path} "
+                    f"input for leg '{leg}' not found: {inputs[leg]} "
                     f"(relative paths resolve against the working directory)"
                 )
-        hashes = {leg: _sha256_file(path) for leg, path in inputs}
+        hashes = {leg: _sha256_file(path) for leg, path in sorted(inputs.items())}
         data = dict(self.data, input_hashes=hashes)
         return RunManifest(data)
 
@@ -224,18 +210,13 @@ def _run(stage, fn, *args, **kwargs):
         raise StageError(stage, exc) from exc
 
 
-def PriceSeriesLoader(path, leg):
-    return PriceSeries.from_csv(path, symbol=leg)
+PriceSeriesLoader = read_leg
 
 
-def _raw_kline_loader(path, leg):
-    return parse_klines(Path(path).read_bytes(), leg)
-
-
-def _load_legs(paths, loader):
-    """Load the legs with `loader(path, leg)`, align them, take the variation.
-    Returns the variation and the rows each leg lost to the alignment."""
-    legs = [_run("load", loader, paths[leg], leg) for leg in LEGS]
+def _load_legs(paths):
+    """Load the legs, align them, take the variation. Returns the variation
+    and the rows each leg lost to the alignment."""
+    legs = [_run("load", PriceSeriesLoader, paths[leg], leg) for leg in LEGS]
     triple = _run("align", align, *legs)
     return _run("variation", compute_variation, triple), triple.dropped
 
@@ -259,7 +240,7 @@ def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
         reports.yearwise_percentile_table(year_tables, mhash).write(out)
         reports.yearwise_iqr_table(year_iqrs, mhash).write(out)
     if "df" in tables:
-        done["df"] = [_run("dftest", df_test, var, m, cfg["df_level"]) for m in DFModel]
+        done["df"] = [_run("dftest", df_test, var, m) for m in DFModel]
         reports.df_table(done["df"], mhash, verbose).write(out)
     if "fit" in tables or "ci" in tables:
         params, trans, stats = done["fit"] = _run("fit", mle_fit, var, dt)
@@ -292,17 +273,16 @@ _dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
 @click.option("--start", type=int, required=True, help="window start, ms UTC")
 @click.option("--end", type=int, required=True, help="window end, ms UTC (exclusive)")
 @click.option("--endpoint", envvar="SPOTVAR_ENDPOINT", default=None)
-@click.option("--pause", type=float, default=0.0, help="seconds between pages")
-@click.option("--max-retries", type=int, default=4, show_default=True)
-@click.option("--backoff", type=float, default=0.5, show_default=True)
+@click.option("--pause", type=click.FloatRange(min=0), default=0.0, help="seconds between pages")
+@click.option("--max-retries", type=click.IntRange(min=0), default=4, show_default=True)
+@click.option("--backoff", type=click.FloatRange(min=0), default=0.5, show_default=True)
 @_out_dir_option()
 def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
     """Fetch 1m klines for each symbol and write <symbol>.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = FetchConfig(pause_s=pause, max_retries=max_retries, backoff_base_s=backoff)
-    if endpoint:
-        cfg.endpoint = endpoint
+    cfg = FetchConfig(endpoint or BINANCE_KLINES_URL, max_retries=max_retries,
+                      backoff_base_s=backoff, pause_s=pause)
     for symbol in symbols:
         series = _run("fetch", fetch_klines, symbol, start, end, config=cfg)
         path = out / f"{symbol}.csv"
@@ -314,12 +294,11 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 @click.option("--spot", type=click.Path(exists=True), required=True)
 @click.option("--num", type=click.Path(exists=True), required=True)
 @click.option("--den", type=click.Path(exists=True), required=True)
-@click.option("--raw-klines", is_flag=True, help="inputs are raw Binance kline CSVs")
-@click.option("--out", type=click.Path(), default="variation.csv")
-def variation_cmd(spot, num, den, raw_klines, out):
-    """Align the three legs and write the variation series."""
-    loader = _raw_kline_loader if raw_klines else PriceSeriesLoader
-    var, dropped = _load_legs({"spot": spot, "num": num, "den": den}, loader)
+@click.option("--out", type=click.Path(dir_okay=False), default="variation.csv")
+def variation_cmd(spot, num, den, out):
+    """Align the three legs (normalized or Binance kline CSVs), write the variation series."""
+    var, dropped = _load_legs({"spot": spot, "num": num, "den": den})
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     var.to_csv(out)
     click.echo(f"{len(var)} aligned minutes -> {out} (dropped: {dropped})")
 
@@ -365,13 +344,14 @@ def fit(input_path, dt, out_dir):
 @click.option("--steps", type=int, required=True)
 @_dt_option
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
-@click.option("--out", type=click.Path(), default="simulated.csv")
+@click.option("--out", type=click.Path(dir_okay=False), default="simulated.csv")
 def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
     """Simulate an OU path via the exact transition law."""
     params = OUParams(alpha=alpha, mu=mu, sigma=sigma)
     start = mu if v0 is None else v0
     path = _run("simulate", simulate_path, params, start, steps, dt, seed)
     times = np.arange(len(path), dtype=np.int64)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     VariationSeries(times, path).to_csv(out)
     click.echo(f"{len(path)} values -> {out}")
 
@@ -422,16 +402,12 @@ def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
         "mc.path_length": path_length,
         "skip_mc": skip_mc,
     }
-    manifest = RunManifest.resolve(manifest_file, overrides)
-    for leg in LEGS:
-        if not manifest.data["inputs"].get(leg):
-            raise click.UsageError(f"missing input for leg '{leg}'")
-    manifest = manifest.with_input_hashes()
+    manifest = RunManifest.resolve(manifest_file, overrides).with_input_hashes()
     mhash = manifest.hash
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    var, _ = _load_legs(manifest.data["inputs"], PriceSeriesLoader)
+    var, _ = _load_legs(manifest.data["inputs"])
     var.to_csv(out / "variation.csv", header_comment=f"manifest_hash={mhash}")
     tables = TABLES[:-1] if manifest.data["skip_mc"] else TABLES
     _tables(var, manifest.data, out, tables, mhash, workers)
@@ -445,15 +421,12 @@ def cli_entry(argv=None):
         main.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (click.UsageError, click.BadParameter) as exc:
+    except click.UsageError as exc:  # BadParameter too
         click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except StageError as exc:
-        click.echo(f"error at {exc}", err=True)
-        return _exit_code(exc)
+        return 2
     except SpotvarError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return _exit_code(exc)
+        click.echo(f"error{' at' if isinstance(exc, StageError) else ':'} {exc}", err=True)
+        return exc.exit_code
     return 0
 
 

@@ -1,25 +1,33 @@
 """Exception hierarchy shared across the package.
 
-Three broad categories map onto CLI exit codes: DataError (bad or
-insufficient input, exit 3), NumericError (the math failed or the model is
-rejected by the data, exit 4), NetworkError (exit 5).
+Three broad categories: DataError (bad or insufficient input),
+NumericError (the math failed or the model is rejected by the data) and
+NetworkError. Each class's `exit_code` is the CLI's exit status for it.
 """
 
 
 class SpotvarError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; outside the categories, a usage error."""
+
+    exit_code = 2
 
 
 class DataError(SpotvarError):
     """Input data is malformed, missing, or insufficient."""
 
+    exit_code = 3
+
 
 class NumericError(SpotvarError):
     """A numeric procedure failed or produced an inadmissible result."""
 
+    exit_code = 4
+
 
 class NetworkError(SpotvarError):
     """Remote endpoint unreachable, or its answer unusable."""
+
+    exit_code = 5
 
 
 class InvalidArgument(SpotvarError, ValueError):
@@ -57,12 +65,6 @@ class EmptyIntersection(DataError):
     pass
 
 
-class NonPositivePrice(DataError):
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"non-positive price at index {index}")
-
-
 # --- summary ---
 
 class EmptySeries(DataError):
@@ -84,10 +86,6 @@ class InsufficientData(DataError):
 
 
 class SeriesTooShort(DataError):
-    pass
-
-
-class UnsupportedLevel(DataError):
     pass
 
 

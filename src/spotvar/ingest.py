@@ -33,29 +33,6 @@ PAGE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
-class Kline:
-    """One exchange candle. Prices must be strictly positive and bracketed
-    by low/high; close_time must follow open_time."""
-
-    open_time: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-    close_time: int
-
-    def validate(self):
-        prices = (self.open, self.high, self.low, self.close)
-        if any(p <= 0 for p in prices):
-            raise ValueError("non-positive price")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
-            raise ValueError("low/high do not bracket open/close")
-        if self.close_time <= self.open_time:
-            raise ValueError("close_time must exceed open_time")
-
-
-@dataclass(frozen=True)
 class PriceSeries:
     """Timestamp-indexed close prices for one instrument.
 
@@ -196,16 +173,16 @@ def int64_times(times):
         raise InvalidValue(f"timestamp outside the int64 range: {exc}") from exc
 
 
-def find_gaps(times, interval_ms=MINUTE_MS):
-    """Return the first missing timestamp of each gap (ms), or empty list."""
+def find_gaps(times):
+    """Return the first missing minute of each gap (ms), or empty list."""
     times = np.asarray(times, dtype=np.int64)
     deltas = np.diff(times)
-    idx = np.nonzero(deltas > interval_ms)[0]
-    return [int(times[i] + interval_ms) for i in idx]
+    idx = np.nonzero(deltas > MINUTE_MS)[0]
+    return [int(times[i] + MINUTE_MS) for i in idx]
 
 
-def _warn_gaps(symbol, times, interval_ms=MINUTE_MS):
-    gaps = find_gaps(times, interval_ms)
+def _warn_gaps(symbol, times):
+    gaps = find_gaps(times)
     if gaps:
         warnings.warn(
             GapWarning(
@@ -213,15 +190,16 @@ def _warn_gaps(symbol, times, interval_ms=MINUTE_MS):
             ),
             stacklevel=3,
         )
-    return gaps
 
 
 def parse_klines(raw, symbol):
     """Parse a Binance kline CSV byte/text stream into a PriceSeries.
 
     Rows have >= 7 comma-separated fields in Binance archive order
-    (open_time, open, high, low, close, volume, close_time, ...). Rows are
-    sorted by open_time; duplicate timestamps are rejected.
+    (open_time, open, high, low, close, volume, close_time, ...). Prices
+    must be strictly positive and bracketed by low/high, and close_time
+    must follow open_time. Rows are sorted by open_time; duplicate
+    timestamps are rejected.
     """
     if hasattr(raw, "read"):
         raw = raw.read()
@@ -240,34 +218,45 @@ def parse_klines(raw, symbol):
             if len(fields) < 7:
                 raise MalformedRow(reader.line_num, f"expected >= 7 fields, got {len(fields)}")
             try:
-                k = Kline(
-                    open_time=int(fields[0]),
-                    open=float(fields[1]),
-                    high=float(fields[2]),
-                    low=float(fields[3]),
-                    close=float(fields[4]),
-                    volume=float(fields[5]),
-                    close_time=int(fields[6]),
-                )
-                k.validate()
+                open_time = int(fields[0])
+                open_, high, low, close, _volume = map(float, fields[1:6])
+                close_time = int(fields[6])
+                if any(p <= 0 for p in (open_, high, low, close)):
+                    raise ValueError("non-positive price")
+                if low > min(open_, close) or high < max(open_, close):
+                    raise ValueError("low/high do not bracket open/close")
+                if close_time <= open_time:
+                    raise ValueError("close_time must exceed open_time")
             except (ValueError, OverflowError) as exc:
                 raise MalformedRow(reader.line_num, str(exc)) from exc
-            rows.append(k)
+            rows.append((open_time, close))
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from exc
 
     if not rows:
         raise EmptyInput(f"{symbol}: zero kline rows")
-    rows.sort(key=lambda k: k.open_time)
-    series = PriceSeries(symbol, [k.open_time for k in rows], [k.close for k in rows])
+    rows.sort(key=lambda row: row[0])
+    series = PriceSeries(symbol, *zip(*rows))
     _warn_gaps(symbol, series.times)
     return series
+
+
+def read_leg(path, symbol):
+    """Read one leg file as a PriceSeries. Its first line that is neither
+    blank nor a `#` comment decides the format: seven or more
+    comma-separated fields mean a Binance kline CSV (`parse_klines`),
+    anything else a normalized `open_time_ms,close` CSV."""
+    with open(path, "rb") as f:
+        first = next((s for s in map(bytes.strip, f) if s and not s.startswith(b"#")), b"")
+        if first.count(b",") < 6:
+            return PriceSeries.from_csv(path, symbol)
+        f.seek(0)
+        return parse_klines(f.read(), symbol)
 
 
 @dataclass
 class FetchConfig:
     endpoint: str = BINANCE_KLINES_URL
-    page_limit: int = PAGE_LIMIT
     max_retries: int = 4
     backoff_base_s: float = 0.5
     pause_s: float = 0.0  # API pacing between pages
@@ -320,7 +309,7 @@ def _kline_page(body, url):
     return rows
 
 
-def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=None):
+def fetch_klines(symbol, start_ms, end_ms, session=None, config=None):
     """Fetch 1m klines over [start_ms, end_ms) with pagination and retries.
 
     `session` needs only a `.get(url, params=..., timeout=...)` returning an
@@ -335,16 +324,15 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
 
         session = requests.Session()
 
-    interval_ms = MINUTE_MS if interval == "1m" else None
     times, closes = [], []
     cursor = start_ms
     while cursor < end_ms:
         params = {
             "symbol": symbol,
-            "interval": interval,
+            "interval": "1m",
             "startTime": cursor,
             "endTime": end_ms - 1,
-            "limit": cfg.page_limit,
+            "limit": PAGE_LIMIT,
         }
         page = _kline_page(_get_with_retries(session, cfg.endpoint, params, cfg), cfg.endpoint)
         if not page:
@@ -354,8 +342,8 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
                 break
             times.append(t)
             closes.append(close)
-        cursor = page[-1][0] + (interval_ms or 1)
-        if len(page) < cfg.page_limit:
+        cursor = page[-1][0] + MINUTE_MS
+        if len(page) < PAGE_LIMIT:
             break
         if cfg.pause_s:
             cfg.sleep(cfg.pause_s)
@@ -363,6 +351,5 @@ def fetch_klines(symbol, start_ms, end_ms, session=None, interval="1m", config=N
     if not times:
         raise EmptyInput(f"{symbol}: endpoint returned no rows")
     series = PriceSeries(symbol=symbol, times=times, closes=closes)
-    if interval_ms:
-        _warn_gaps(symbol, series.times, interval_ms)
+    _warn_gaps(symbol, series.times)
     return series

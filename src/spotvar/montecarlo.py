@@ -64,22 +64,6 @@ class CIReport:
     n_failed: int
     master_seed: int
 
-    def as_dict(self):
-        return {
-            "confidence": self.confidence,
-            "replications": self.replications,
-            "failures": self.n_failed,
-            "master_seed": self.master_seed,
-            "parameters": {
-                name: {
-                    "point": self.point[name],
-                    "lower": self.lower[name],
-                    "upper": self.upper[name],
-                }
-                for name in ("alpha", "mu", "sigma")
-            },
-        }
-
 
 # seeds per pool job; each job reuses one path buffer for all of them
 _CHUNK = 8

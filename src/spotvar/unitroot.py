@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NumericalBreakdown, RankDeficient, SeriesTooShort
-from .errors import UnsupportedLevel
 
 
 class DFModel(enum.Enum):
@@ -137,10 +136,8 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     return AR1Fit(n, delta, math.sqrt(rss / (n - k) / xx), intercept, rss)
 
 
-def critical_value(variant: DFModel, n, level=0.01):
+def critical_value(variant: DFModel, n):
     """Tabulated 1% tau critical value at the largest bucket <= n."""
-    if level != 0.01:
-        raise UnsupportedLevel(f"only the 1% level is tabulated, got {level}")
     table = _CRITICAL_1PCT[variant]
     chosen = table[0][1]
     for bucket, cv in table:
@@ -149,7 +146,7 @@ def critical_value(variant: DFModel, n, level=0.01):
     return chosen
 
 
-def df_test(series, variant: DFModel, alpha_level=0.01) -> DFResult:
+def df_test(series, variant: DFModel) -> DFResult:
     """Run one Dickey-Fuller regression and the 1% decision.
 
     `series` is a VariationSeries or a plain value sequence.
@@ -160,7 +157,7 @@ def df_test(series, variant: DFModel, alpha_level=0.01) -> DFResult:
     if not fit.se_delta > 0:
         raise NumericalBreakdown(f"model ({variant.value}) fits exactly: se(delta) is 0")
     tau = fit.delta / fit.se_delta
-    cv = critical_value(variant, fit.n, alpha_level)
+    cv = critical_value(variant, fit.n)
     return DFResult(
         variant=variant,
         delta_hat=fit.delta,

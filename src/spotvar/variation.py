@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp, NonPositivePrice
+from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
 from .ingest import PriceSeries, int64_times, read_series_csv, write_series_csv
 
 
@@ -28,9 +28,6 @@ class AlignedTriple:
     num: np.ndarray
     den: np.ndarray
     dropped: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -53,11 +50,6 @@ class VariationSeries:
 
     def __len__(self):
         return len(self.times)
-
-    def restrict(self, start_ms, end_ms):
-        """Sub-series over [start_ms, end_ms)."""
-        mask = (self.times >= start_ms) & (self.times < end_ms)
-        return VariationSeries(self.times[mask], self.values[mask])
 
     def to_csv(self, path_or_buf, header_comment=None):
         """Write the `open_time_ms,variation` CSV, after an optional
@@ -105,10 +97,8 @@ def compute_variation(triple: AlignedTriple) -> VariationSeries:
 
     The quotient leg is evaluated as a difference of logs so all three legs
     round symmetrically; this differs from ln(num/den) by < 1e-14.
+    A price that is not positive and finite, which no PriceSeries holds,
+    gives a non-finite value: InvalidValue naming the row.
     """
-    for name, leg in (("spot", triple.spot), ("num", triple.num), ("den", triple.den)):
-        bad = np.nonzero(leg <= 0)[0]
-        if len(bad):
-            raise NonPositivePrice(int(bad[0]))
     values = np.log(triple.spot) - (np.log(triple.num) - np.log(triple.den))
     return VariationSeries(times=triple.times, values=values)

@@ -10,7 +10,9 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 import pytest
 
+import spotvar.cli as cli
 from conftest import MINUTE_MS, child_env
+from spotvar import errors
 from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
@@ -75,10 +77,35 @@ class TestVariationCommand:
         raw = DATA / "klines_10rows.csv"
         out = tmp_path / "var.csv"
         result = run_cli(
-            "variation", "--raw-klines", "--spot", raw, "--num", raw,
-            "--den", raw, "--out", out,
+            "variation", "--spot", raw, "--num", raw, "--den", raw, "--out", out,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_kline_legs_give_the_bytes_of_normalized_legs(self, tmp_path):
+        klines = {leg: _as_klines(SAMPLE_LEGS[leg], tmp_path / f"{leg}.klines") for leg in LEGS}
+        expected = _variation_bytes(SAMPLE_LEGS, tmp_path / "n.csv")
+        assert _variation_bytes(klines, tmp_path / "k.csv") == expected
+        # report reads kline legs too
+        bundle = tmp_path / "bundle"
+        assert cli_entry(["report", *_leg_args(klines), "--skip-mc", "--out-dir", str(bundle)]) == 0
+        assert (bundle / "variation.csv").read_bytes().split(b"\n", 1)[1] == expected
+
+    def test_comment_with_many_commas_is_not_a_kline_leg(self, tmp_path):
+        spot = tmp_path / "spot.csv"
+        spot.write_bytes(b"\n# a,b,c,d,e,f,g,h\n" + SAMPLE_LEGS["spot"].read_bytes())
+        with_comment = _variation_bytes(dict(SAMPLE_LEGS, spot=spot), tmp_path / "c.csv")
+        assert with_comment == _variation_bytes(SAMPLE_LEGS, tmp_path / "n.csv")
+
+    def test_bad_later_kline_row_names_its_line(self, tmp_path, capsys):
+        spot = _as_klines(SAMPLE_LEGS["spot"], tmp_path / "spot.klines")
+        rows = spot.read_text().splitlines(keepends=True)
+        t, c, *rest = rows[4].split(",")
+        rows[4] = ",".join([t, c, f"{float(c) / 2!r}", *rest])  # high below close
+        spot.write_text("".join(rows))
+        argv = ["variation", *_leg_args(dict(SAMPLE_LEGS, spot=spot)), "--out", str(tmp_path / "v")]
+        assert cli_entry(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 5:" in err[0], err
 
     def test_disjoint_timestamps_fail_at_align(self, tmp_path, legs_dir):
         _, paths = legs_dir
@@ -95,6 +122,31 @@ class TestVariationCommand:
         )
         assert result.returncode == 3
         assert "align" in result.stderr
+
+
+LEGS = ("spot", "num", "den")
+SAMPLE_LEGS = {leg: DATA / "sample_legs" / f"{leg}.csv" for leg in LEGS}
+
+
+def _as_klines(normalized, dest):
+    """Write the `open_time_ms,close` rows of `normalized` to `dest` as
+    Binance kline rows: open = high = low = close, one-minute candles."""
+    rows = []
+    for line in normalized.read_text().splitlines()[1:]:
+        t, c = line.split(",")
+        rows.append(f"{t},{c},{c},{c},{c},1.0,{int(t) + MINUTE_MS - 1},0,1,0,0,0\n")
+    dest.write_text("".join(rows))
+    return dest
+
+
+def _leg_args(paths):
+    return [a for leg in LEGS for a in (f"--{leg}", str(paths[leg]))]
+
+
+def _variation_bytes(paths, out):
+    """The bytes `variation` writes for the legs `paths`."""
+    assert cli_entry(["variation", *_leg_args(paths), "--out", str(out)]) == 0
+    return out.read_bytes()
 
 
 @pytest.fixture
@@ -281,7 +333,28 @@ class TestSlicesOfReport:
 # 0.5**k is fitted exactly by all three Dickey-Fuller regressions: se(delta) = 0
 EXACT_FIT = "open_time_ms,variation\n" + "".join(f"{k * MINUTE_MS},{0.5**k!r}\n" for k in range(31))
 SIMULATE = "simulate --alpha 0.8 --mu 0 --sigma 0.001"
-SAMPLE_INPUTS = {leg: str(DATA / "sample_legs" / f"{leg}.csv") for leg in ("spot", "num", "den")}
+# click rejects the bad value before any request is sent
+FETCH = f"fetch --symbol ETHBTC --start {T0} --end {T0 + MINUTE_MS} --endpoint http://127.0.0.1:9/k"
+SAMPLE_INPUTS = {leg: str(path) for leg, path in SAMPLE_LEGS.items()}
+
+
+def _category_code(cls):
+    """The documented exit code of an error class's category."""
+    for category, code in ((errors.NetworkError, 5), (errors.NumericError, 4),
+                           (errors.DataError, 3)):
+        if issubclass(cls, category):
+            return code
+    return 2
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SpotvarError)),
+    key=lambda c: c.__name__,
+)
+OUT_COMMANDS = [
+    pytest.param(["variation", *_leg_args(SAMPLE_LEGS)], id="variation"),
+    pytest.param([*SIMULATE.split(), "--steps", "10"], id="simulate"),
+]
 
 
 class TestExitCodes:
@@ -313,6 +386,9 @@ class TestExitCodes:
         ("report --manifest SAMPLE --path-length 2", 2),
         ("report --manifest SAMPLE --workers 0", 2),
         ("ci --input VAR --workers 0", 2),
+        (f"{FETCH} --backoff -1 --max-retries 1", 2),
+        (f"{FETCH} --pause -1", 2),
+        (f"{FETCH} --max-retries -1", 2),
         ("dftest --input EXACT_FIT", 4),
     ])
     def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
@@ -360,6 +436,29 @@ class TestExitCodes:
         assert cli_entry(args) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class_exits_with_its_category_code(self, tmp_path, variation_csv,
+                                                            capsys, monkeypatch, cls):
+        def fail(*args, **kwargs):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "df_test", fail)
+        argv = ["dftest", "--input", str(variation_csv), "--out-dir", str(tmp_path)]
+        assert cli_entry(argv) == _category_code(cls)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error at stage 'dftest':"), err
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_out_in_a_missing_directory_is_created(self, tmp_path, command):
+        out = tmp_path / "new" / "dir" / "out.csv"
+        assert cli_entry([*command, "--out", str(out)]) == 0
+        assert out.is_file()
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_out_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys, command):
+        assert cli_entry([*command, "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

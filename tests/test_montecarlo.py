@@ -103,10 +103,9 @@ class TestConfidenceIntervals:
 
     def test_report_metadata(self):
         report = confidence_intervals(_samples(range(10)), 0.90, FITTED)
-        d = report.as_dict()
-        assert d["confidence"] == 0.90
-        assert d["replications"] == 10
-        assert d["parameters"]["alpha"]["point"] == FITTED.alpha
+        assert report.confidence == 0.90
+        assert report.replications == 10
+        assert report.point["alpha"] == FITTED.alpha
 
 
 def test_ci_width_shrinks_with_path_length():

@@ -11,7 +11,6 @@ from spotvar.errors import (
     NumericalBreakdown,
     RankDeficient,
     SeriesTooShort,
-    UnsupportedLevel,
 )
 from spotvar.unitroot import _dot
 
@@ -97,10 +96,6 @@ class TestCriticalValues:
         # n=70 falls back to the n=50 row, not n=100
         assert critical_value(DFModel.CONST, 70) == -3.58
         assert critical_value(DFModel.CONST, 100) == -3.51
-
-    def test_unsupported_level(self):
-        with pytest.raises(UnsupportedLevel):
-            critical_value(DFModel.CONST, 100, level=0.05)
 
 
 def _ar1(rho, n, seed, mean=0.0):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotvar import VariationSeries, align, compute_variation
-from spotvar.errors import EmptyIntersection, NonPositivePrice
+from spotvar.errors import EmptyIntersection, InvalidValue
 from spotvar.variation import AlignedTriple
 
 from conftest import MINUTE_MS, minute_grid, price_series
@@ -32,7 +32,7 @@ class TestAlign:
         b = price_series("num", times, [2100.0, 2110.0, 2120.0])
         c = price_series("den", times, [30000.0, 30100.0, 30200.0])
         triple = align(a, b, c)
-        assert len(triple) == 3
+        assert len(triple.times) == 3
         assert triple.dropped == {"spot": 0, "num": 0, "den": 0}
 
     def test_intersection_semantics(self):
@@ -65,7 +65,7 @@ class TestAlign:
             ]
             expected = set(subsets[0]) & set(subsets[1]) & set(subsets[2])
             triple = align(*series)
-            assert len(triple) == len(expected)
+            assert len(triple.times) == len(expected)
             assert set(triple.times.tolist()) == expected
 
 
@@ -115,10 +115,11 @@ class TestComputeVariation:
         assert compute_variation(triple).values[0] == pytest.approx(expected, rel=1e-12)
 
     def test_non_positive_price_rejected(self):
+        # no PriceSeries holds such a price; a hand-built triple gets a
+        # non-finite variation value, rejected at its row
         triple = _triple([0.07, -0.07], [2100.0, 2100.0], [30000.0, 30000.0])
-        with pytest.raises(NonPositivePrice) as exc:
+        with pytest.raises(InvalidValue, match="at row 1$"), np.errstate(invalid="ignore"):
             compute_variation(triple)
-        assert exc.value.index == 1
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=100)
@@ -167,8 +168,3 @@ class TestVariationSeriesCsv:
         back = VariationSeries.from_csv(buf)
         assert np.array_equal(back.times, var.times)
         assert np.array_equal(back.values, var.values)  # >= 17 sig digits
-
-    def test_restrict_half_open(self):
-        var = VariationSeries(minute_grid(T0, 10), np.arange(10.0))
-        sub = var.restrict(T0 + MINUTE_MS, T0 + 3 * MINUTE_MS)
-        assert sub.values.tolist() == [1.0, 2.0]
