@@ -264,7 +264,8 @@ def _out_dir_option(default="."):
     return click.option("--out-dir", type=click.Path(file_okay=False), default=default)
 
 
-_input_option = click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+_input_file = click.Path(exists=True, dir_okay=False)
+_input_option = click.option("--input", "input_path", type=_input_file, required=True)
 _dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
 
 
@@ -291,9 +292,9 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 
 
 @main.command("variation")
-@click.option("--spot", type=click.Path(exists=True), required=True)
-@click.option("--num", type=click.Path(exists=True), required=True)
-@click.option("--den", type=click.Path(exists=True), required=True)
+@click.option("--spot", type=_input_file, required=True)
+@click.option("--num", type=_input_file, required=True)
+@click.option("--den", type=_input_file, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="variation.csv")
 def variation_cmd(spot, num, den, out):
     """Align the three legs (normalized or Binance kline CSVs), write the variation series."""
@@ -380,10 +381,10 @@ def ci(input_path, replications, path_length, confidence, seed, workers, dt, out
 
 
 @main.command()
-@click.option("--manifest", "manifest_file", type=click.Path(exists=True), default=None)
-@click.option("--spot", type=click.Path(exists=True), default=None)
-@click.option("--num", type=click.Path(exists=True), default=None)
-@click.option("--den", type=click.Path(exists=True), default=None)
+@click.option("--manifest", "manifest_file", type=_input_file, default=None)
+@click.option("--spot", type=_input_file, default=None)
+@click.option("--num", type=_input_file, default=None)
+@click.option("--den", type=_input_file, default=None)
 @_out_dir_option("report")
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=None)
 @click.option("--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=1)

@@ -98,12 +98,9 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSampl
     job = partial(_replications, fitted, cfg)
 
     if workers > 1:
-        # `simulate_path` imports scipy.signal lazily; importing it before the
-        # pool forks lets every worker share it instead of importing its own.
-        # That needs fork, which Python 3.14 no longer picks by default on
-        # Linux; other platforms keep their default and import it per worker.
-        import scipy.signal  # noqa: F401
-
+        # forked workers inherit the parent's numpy and spotvar imports
+        # instead of importing their own. Python 3.14 no longer picks fork by
+        # default on Linux; other platforms keep their default start method.
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             per_chunk = list(pool.map(job, chunks))

@@ -11,6 +11,7 @@ Dickey-Fuller model (b), computed by the shared core in `unitroot`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +65,32 @@ def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
     return TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
 
 
+@functools.cache
+def _linear_filter():
+    """The compiled filter core that `scipy.signal.lfilter` calls for float64
+    input, loaded from its extension file in milliseconds, where
+    `import scipy.signal` takes over a second."""
+    import importlib.machinery
+    import importlib.util
+    from pathlib import Path
+
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_sigtools{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "_linear_filter"):
+                return module._linear_filter
+            break
+    raise ImportError(
+        f"no _sigtools extension with _linear_filter in {folder} (scipy {scipy.__version__})"
+    )
+
+
 def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
     """Exact-transition simulation; returns the path including v0
     (length n_steps + 1). Deterministic given rng_seed.
@@ -71,10 +98,6 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
     With `out`, a contiguous float64 array of length n_steps + 1, the path is
     written into it and `out` is returned: a Monte Carlo loop reuses one
     buffer for every path, with the same values as a fresh one."""
-    # imported here: `import scipy.signal` takes over a second, and runs
-    # that never simulate should not pay it
-    from scipy.signal import lfilter
-
     params.validate()
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
@@ -92,9 +115,10 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
     shocks = out[1:]
     np.random.default_rng(rng_seed).standard_normal(out=shocks)
     shocks *= tp.cond_sd
-    # v - mu is an AR(1) with coefficient omega; lfilter runs the recursion
-    # v_k - mu = omega * (v_{k-1} - mu) + shock_k in C.
-    x, _ = lfilter([1.0], [1.0, -tp.omega], shocks, zi=[tp.omega * (v0 - params.mu)])
+    # v - mu is an AR(1) with coefficient omega; lfilter's core runs the
+    # recursion v_k - mu = omega * (v_{k-1} - mu) + shock_k in C.
+    x, _ = _linear_filter()(np.array([1.0]), np.array([1.0, -tp.omega]), shocks, -1,
+                            np.array([tp.omega * (v0 - params.mu)]))
     np.add(x, params.mu, out=shocks)
     out[0] = v0
     return out

@@ -355,6 +355,13 @@ OUT_COMMANDS = [
     pytest.param(["variation", *_leg_args(SAMPLE_LEGS)], id="variation"),
     pytest.param([*SIMULATE.split(), "--steps", "10"], id="simulate"),
 ]
+# every input option, with a directory ("DIR") as its value
+DIR_INPUTS = [
+    *(pytest.param([c, "--input", "DIR"], id=f"{c}-input") for c in ("summarize", "dftest", "fit", "ci")),
+    pytest.param(["report", "--manifest", "DIR"], id="report-manifest"),
+    *(pytest.param([c, *_leg_args({**SAMPLE_LEGS, leg: "DIR"})], id=f"{c}-{leg}")
+      for c in ("variation", "report") for leg in LEGS),
+]
 
 
 class TestExitCodes:
@@ -459,6 +466,14 @@ class TestExitCodes:
     def test_out_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys, command):
         assert cli_entry([*command, "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", DIR_INPUTS)
+    def test_input_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = "--out" if argv[0] == "variation" else "--out-dir"
+        args = [str(tmp_path) if a == "DIR" else a for a in argv]
+        assert cli_entry([*args, out, str(tmp_path / "out")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class _KlineHandler(BaseHTTPRequestHandler):

@@ -1,8 +1,8 @@
-"""`import scipy.signal` takes over a second. Only simulation needs it, so a
-run that never simulates must not import it, and a Monte Carlo run must
-import it once in the parent, before the pool forks, rather than once in
-every worker. Each check runs in a fresh interpreter, since this one may
-have imported scipy already."""
+"""`import scipy.signal` takes over a second. Simulation loads only the
+compiled filter core behind `lfilter` from its file, so no run imports the
+package: not the CLI, not a simulation, not a Monte Carlo pool. Each check
+runs in a fresh interpreter, since this one may have imported scipy.signal
+already."""
 
 import sys
 
@@ -17,21 +17,24 @@ def test_cli_import_leaves_scipy_signal_out():
     assert loaded == "False"
 
 
-def test_parallel_sampling_imports_scipy_signal_in_the_parent():
+def test_simulation_and_parallel_sampling_leave_scipy_signal_out():
     loaded = run_python(
         "import sys\n"
-        "from spotvar import McConfig, OUParams, sampling_distribution\n"
+        "from spotvar import McConfig, OUParams, sampling_distribution, simulate_path\n"
+        "params = OUParams(0.8, 0.0, 0.001)\n"
+        "simulate_path(params, 0.0, 100, rng_seed=1)\n"
         "cfg = McConfig(replications=4, path_length=100, master_seed=1)\n"
-        "sampling_distribution(OUParams(0.8, 0.0, 0.001), cfg, workers=2)\n"
+        "sampling_distribution(params, cfg, workers=2)\n"
         "print('scipy.signal' in sys.modules)\n"
     )
-    assert loaded == "True"
+    assert loaded == "False"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
 def test_parallel_sampling_forks_whatever_the_default_start_method(monkeypatch):
     """Under forkserver or spawn (Python 3.14's Linux default is
-    forkserver) every worker would import scipy.signal again."""
+    forkserver) every worker would import numpy and spotvar again; a
+    forked one inherits the parent's."""
     contexts = []
 
     class SerialPool:

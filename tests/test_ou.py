@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.signal import lfilter
 
 from conftest import conditional_moments, exact_ar1_regression, numeric_refine, stationary_variance
 from spotvar import (
@@ -21,7 +23,7 @@ from spotvar.errors import (
     NonMeanReverting,
     SeriesTooShort,
 )
-from spotvar.ou import transition_params
+from spotvar.ou import _linear_filter, transition_params
 
 # Table-5-scale parameters used throughout as a realistic operating point
 ALPHA, MU, SIGMA = 0.845728, -2.424382e-05, 0.001703
@@ -99,6 +101,40 @@ class TestSimulatePath:
     def test_out_buffer_of_the_wrong_shape_or_type(self, buf):
         with pytest.raises(InvalidArgument):
             simulate_path(PARAMS, 0.0, 10, out=buf)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("n_steps", [5000, 200_000])
+    def test_equals_the_lfilter_recursion(self, n_steps, seed):
+        tp = transition_params(PARAMS)
+        v0 = 0.001
+        shocks = np.random.default_rng(seed).standard_normal(n_steps) * tp.cond_sd
+        x, _ = lfilter([1.0], [1.0, -tp.omega], shocks, zi=[tp.omega * (v0 - MU)])
+        expected = np.concatenate([[v0], x + MU])
+        path = simulate_path(PARAMS, v0, n_steps, 1.0, rng_seed=seed)
+        assert np.array_equal(path.view(np.int64), expected.view(np.int64))
+
+
+class TestLinearFilterCore:
+    """`simulate_path` calls the C core behind `scipy.signal.lfilter`,
+    loaded from its file; these pin it to the public function."""
+
+    @pytest.mark.parametrize("z", [0.0, 3.7e-4, -2.9e-4])
+    @pytest.mark.parametrize("n", [1, 2, 5000, 20001])
+    def test_bit_equal_to_lfilter(self, n, z):
+        w = 0.43
+        x = np.random.default_rng(n).standard_normal(n) * 1e-3
+        out, zf = _linear_filter()(np.array([1.0]), np.array([1.0, -w]), x, -1, np.array([z]))
+        ref, ref_zf = lfilter([1.0], [1.0, -w], x, zi=[z])
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(zf.view(np.int64), ref_zf.view(np.int64))
+
+    def test_missing_core_names_the_folder_and_version(self, monkeypatch, tmp_path):
+        (tmp_path / "signal").mkdir()
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError) as err:
+            _linear_filter.__wrapped__()
+        assert str(tmp_path / "signal") in str(err.value)
+        assert scipy.__version__ in str(err.value)
 
 
 class TestLogLikelihood:
