@@ -25,6 +25,7 @@ from .errors import InvalidArgument, SpotvarError
 from .ingest import BINANCE_KLINES_URL, FetchConfig, fetch_klines, read_leg
 from .montecarlo import McConfig, confidence_intervals, sampling_distribution
 from .ou import OUParams, log_likelihood, mle_fit, simulate_path
+from .parallel import fork_pool, usable_cores
 from .summary import check_n_years, iqr, percentiles, split_years, valid_probes
 from .unitroot import DFModel, df_test
 from .variation import VariationSeries, align, compute_variation
@@ -213,15 +214,15 @@ def _run(stage, fn, *args, **kwargs):
 PriceSeriesLoader = read_leg
 
 
-def _load_legs(paths):
+def _load_legs(paths, pool=None):
     """Load the legs, align them, take the variation. Returns the variation
     and the rows each leg lost to the alignment."""
-    legs = [_run("load", PriceSeriesLoader, paths[leg], leg) for leg in LEGS]
+    legs = [_run("load", PriceSeriesLoader, paths[leg], leg, pool) for leg in LEGS]
     triple = _run("align", align, *legs)
     return _run("variation", compute_variation, triple), triple.dropped
 
 
-def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
+def _tables(var, cfg, out, tables, mhash="", pool=None, verbose=True):
     """Write the `tables` subset of TABLES for `var` into `out`, under the
     resolved config `cfg`. Returns the DF results, fitted parameters and
     intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"."""
@@ -248,16 +249,17 @@ def _tables(var, cfg, out, tables, mhash="", workers=1, verbose=True):
         loglik = log_likelihood(params, var, dt)
         reports.ou_fit_table(params, trans, stats, loglik, dt, mhash).write(out)
     if "ci" in tables:
-        samples = _run("montecarlo", sampling_distribution, params, mc_cfg, workers)
+        samples = _run("montecarlo", sampling_distribution, params, mc_cfg, pool=pool)
         done["ci"] = _run("montecarlo", confidence_intervals, samples, mc_cfg.confidence, params)
         reports.ci_table(done["ci"], mhash).write(out)
     return done
 
 
-def _slice(input_path, out_dir, tables, overrides=None, **kw):
+def _slice(input_path, out_dir, tables, overrides=None, workers=1, **kw):
     cfg = RunManifest.resolve(None, overrides).data
-    var = _run("load", VariationSeries.from_csv, input_path)
-    return _tables(var, cfg, Path(out_dir), tables, **kw)
+    with fork_pool(workers) as pool:
+        var = _run("load", VariationSeries.from_csv, input_path, pool)
+        return _tables(var, cfg, Path(out_dir), tables, pool=pool, **kw)
 
 
 def _out_dir_option(default="."):
@@ -267,6 +269,12 @@ def _out_dir_option(default="."):
 _input_file = click.Path(exists=True, dir_okay=False)
 _input_option = click.option("--input", "input_path", type=_input_file, required=True)
 _dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
+_workers_option = click.option(
+    "--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=usable_cores,
+    show_default="the usable cores",
+    help="processes that parse large inputs, write variation.csv and run the Monte Carlo; "
+         "1 forks none",
+)
 
 
 @main.command()
@@ -296,11 +304,13 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 @click.option("--num", type=_input_file, required=True)
 @click.option("--den", type=_input_file, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="variation.csv")
-def variation_cmd(spot, num, den, out):
+@_workers_option
+def variation_cmd(spot, num, den, out, workers):
     """Align the three legs (normalized or Binance kline CSVs), write the variation series."""
-    var, dropped = _load_legs({"spot": spot, "num": num, "den": den})
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    var.to_csv(out)
+    with fork_pool(workers) as pool:
+        var, dropped = _load_legs({"spot": spot, "num": num, "den": den}, pool)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        var.to_csv(out, pool=pool)
     click.echo(f"{len(var)} aligned minutes -> {out} (dropped: {dropped})")
 
 
@@ -363,7 +373,7 @@ def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
 @click.option("--path-length", type=int, default=None, help="default: sample size")
 @click.option("--confidence", type=float, default=0.90, show_default=True)
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
-@click.option("--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=1)
+@_workers_option
 @_dt_option
 @_out_dir_option()
 def ci(input_path, replications, path_length, confidence, seed, workers, dt, out_dir):
@@ -387,7 +397,7 @@ def ci(input_path, replications, path_length, confidence, seed, workers, dt, out
 @click.option("--den", type=_input_file, default=None)
 @_out_dir_option("report")
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=None)
-@click.option("--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=1)
+@_workers_option
 @click.option("--replications", type=int, default=None)
 @click.option("--path-length", type=int, default=None)
 @click.option("--skip-mc", is_flag=True, default=None)
@@ -403,15 +413,16 @@ def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
         "mc.path_length": path_length,
         "skip_mc": skip_mc,
     }
-    manifest = RunManifest.resolve(manifest_file, overrides).with_input_hashes()
-    mhash = manifest.hash
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    var, _ = _load_legs(manifest.data["inputs"])
-    var.to_csv(out / "variation.csv", header_comment=f"manifest_hash={mhash}")
-    tables = TABLES[:-1] if manifest.data["skip_mc"] else TABLES
-    _tables(var, manifest.data, out, tables, mhash, workers)
+    manifest = RunManifest.resolve(manifest_file, overrides)
+    with fork_pool(workers) as pool:  # before any input is read
+        manifest = manifest.with_input_hashes()
+        mhash = manifest.hash
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        var, _ = _load_legs(manifest.data["inputs"], pool)
+        var.to_csv(out / "variation.csv", header_comment=f"manifest_hash={mhash}", pool=pool)
+        tables = TABLES[:-1] if manifest.data["skip_mc"] else TABLES
+        _tables(var, manifest.data, out, tables, mhash, pool)
     manifest.dump(out / "manifest.json")
     click.echo(f"report bundle -> {out} (manifest {mhash[:12]})")
 

@@ -39,7 +39,12 @@ class InvalidArgument(SpotvarError, ValueError):
 class MalformedRow(DataError):
     def __init__(self, line_no, detail=""):
         self.line_no = line_no
+        self.detail = detail
         super().__init__(f"malformed kline row at line {line_no}: {detail}")
+
+    def __reduce__(self):
+        # the default rebuilds the error from its message alone
+        return type(self), (self.line_no, self.detail)
 
 
 class NonMonotonicTimestamp(DataError):

@@ -11,9 +11,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,10 +29,24 @@ from .errors import (
     NetworkError,
     NonMonotonicTimestamp,
 )
+from .parallel import pool_map
 
 MINUTE_MS = 60_000
 BINANCE_KLINES_URL = "https://api.binance.com/api/v3/klines"
 PAGE_LIMIT = 1000
+
+# with a pool, a plain-path file larger than this is parsed in byte ranges
+_SPLIT_BYTES = 4 << 20
+# rows formatted per job of the CSV writer
+_WRITE_ROWS = 1 << 16
+# names that numpy's loadtxt decompresses (numpy.lib._datasource)
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# bytes a range's worker reads at a time while it counts lines and commas
+_BLOCK = 1 << 20
+# a range's worker skips the lines before it at about this share of the cost
+# of parsing them (numpy at paper scale), so later ranges are shorter
+_SKIP_COST = 0.2
+_ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -69,9 +86,9 @@ class PriceSeries:
         write_series_csv(path_or_buf, "open_time_ms,close", self.times, self.closes)
 
     @classmethod
-    def from_csv(cls, path_or_buf, symbol=""):
+    def from_csv(cls, path_or_buf, symbol="", pool=None):
         """Read a normalized `open_time_ms,close` CSV (comment lines allowed)."""
-        return cls(symbol, *read_series_csv(path_or_buf))
+        return cls(symbol, *read_series_csv(path_or_buf, pool))
 
 
 def _open(path_or_buf, mode):
@@ -82,18 +99,34 @@ def _open(path_or_buf, mode):
     return contextlib.nullcontext(path_or_buf)
 
 
-def write_series_csv(path_or_buf, header, times, values, header_comment=None):
+def _plain_path(path_or_buf):
+    """`path_or_buf` as an absolute path, which numpy never takes for a URL,
+    or None for a buffer or a name numpy would decompress."""
+    if not (isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")):
+        return None
+    path = os.path.abspath(os.fsdecode(path_or_buf))
+    return None if path.endswith(_COMPRESSED) else path
+
+
+def write_series_csv(path_or_buf, header, times, values, header_comment=None, pool=None):
     """Write `header`, then one `time,value` row per point. Values are
-    written as repr, which round-trips float64 exactly."""
+    written as repr, which round-trips float64 exactly. Rows are formatted
+    in chunks of `_WRITE_ROWS`, on `pool` when given, and written in order."""
+    chunks = ((times[i:i + _WRITE_ROWS], values[i:i + _WRITE_ROWS])
+              for i in range(0, len(times), _WRITE_ROWS))
     with _open(path_or_buf, "w") as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         f.write(header + "\n")
-        for t, v in zip(times.tolist(), values.tolist()):
-            f.write(f"{t},{v!r}\n")
+        f.writelines(pool_map(pool, _format_rows, chunks))
 
 
-def read_series_csv(path_or_buf):
+def _format_rows(chunk):
+    times, values = chunk
+    return "".join([f"{t},{v!r}\n" for t, v in zip(times.tolist(), values.tolist())])
+
+
+def read_series_csv(path_or_buf, pool=None):
     """Read a two-column `time,value` CSV into C-contiguous int64 times and
     float64 values. Blank lines, `#` comments and an `open_time_ms` header
     are skipped. A line that is not UTF-8 or not two numbers raises
@@ -105,13 +138,22 @@ def read_series_csv(path_or_buf):
     as `1.0`, `1e3` or one beyond int64 through a float and only warns.
     Whenever it rejects an input or cannot apply (a buffer that cannot
     seek), the per-line reader decides: what it accepts, and the error and
-    line number it reports."""
+    line number it reports.
+
+    With a `pool`, a plain-path file above `_SPLIT_BYTES` is parsed in one
+    byte range per worker (`_read_ranges`). If any range fails, the whole
+    file is read as without a pool, which alone decides the error."""
+    path = _plain_path(path_or_buf)
+    if pool is not None and path and os.path.getsize(path) > _SPLIT_BYTES:
+        rows = _read_ranges(path, pool)
+        if rows is not None:
+            return rows
     with _open(path_or_buf, "r") as f:
         seekable = getattr(f, "seekable", None)
         if seekable and seekable():
             start = f.tell()
             try:
-                return _read_rows_fast(f)
+                return _read_rows_fast(f, path)
             except (ValueError, OverflowError, DeprecationWarning, EmptyInput):
                 f.seek(start)
         times, values = _read_rows(f)
@@ -126,9 +168,11 @@ def _skipped(line):
     return not line or line.startswith("#") or line.lower().startswith("open_time_ms")
 
 
-def _read_rows_fast(f):
+def _read_rows_fast(f, path=None):
     """Skip the leading lines `_skipped` skips, then parse the rest with
-    `np.loadtxt`."""
+    `np.loadtxt`: from `path`, the file `f` is open on, which numpy reads in
+    C chunks, or without one from `f`, which numpy reads line by line."""
+    skipped = 0
     while True:
         data_start = f.tell()
         line = f.readline()
@@ -136,13 +180,105 @@ def _read_rows_fast(f):
             raise EmptyInput("no data rows")
         if not _skipped(line.strip()):
             break
-    f.seek(data_start)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        rows = np.loadtxt(f, dtype=[("t", np.int64), ("v", np.float64)], delimiter=",",
-                          comments=None, ndmin=1)
+        skipped += 1
+    if path:
+        rows = _loadtxt(path, skiprows=skipped)
+    else:
+        f.seek(data_start)
+        rows = _loadtxt(f)
     # copies: a strided field view would change the summation order downstream
     return np.ascontiguousarray(rows["t"]), np.ascontiguousarray(rows["v"])
+
+
+def _loadtxt(source, skiprows=0, max_rows=None):
+    """Rows of `source` (a path or a text file) parsed by numpy into a
+    structured array, deprecation warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(source, dtype=_ROW, delimiter=",", comments=None,
+                          skiprows=skiprows, max_rows=max_rows, ndmin=1, encoding="utf-8")
+
+
+def _blocks(f, stop):
+    """The bytes of binary file `f` from where it is up to offset `stop`."""
+    return iter(lambda: f.read(min(_BLOCK, stop - f.tell())), b"")
+
+
+def _read_ranges(path, pool):
+    """The rows of the file at `path`, parsed on `pool` in one byte range per
+    worker, each starting after a newline; None if any range fails.
+
+    Each worker writes its times, then its values, to a file in a temporary
+    directory, and this process reads them straight into the two columns.
+    Sent back through the pool, they would arrive in pipe reads whose sizes
+    depend on timing, and glibc's sliding mmap threshold then left this
+    process's peak RSS at 246 or 304 MB from one paper-scale run to the
+    next; a buffer larger than a column, freed, moves it too."""
+    size, keep, n = os.path.getsize(path), 1 - _SKIP_COST, pool.workers
+    bounds = [0]
+    with open(path, "rb") as f:
+        for k in range(1, n):
+            # range j costs its length plus _SKIP_COST times its start: equal costs
+            f.seek(max(bounds[-1], int(size * (1 - keep**k) / (1 - keep**n))))
+            f.readline()
+            bounds.append(f.tell())
+    bounds.append(size)
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, str(k)) for k in range(n)]
+        counts = list(pool.map(partial(_parse_range, path), zip(bounds, bounds[1:], outs)))
+        if None in counts or not sum(counts):
+            return None
+        columns = np.empty(sum(counts), np.int64), np.empty(sum(counts), np.float64)
+        at = 0
+        for out, count in zip(outs, counts):
+            with open(out, "rb") as f:
+                if any(f.readinto(c[at:at + count]) != c.itemsize * count for c in columns):
+                    return None
+            at += count
+        return columns
+
+
+def _parse_range(path, job):
+    """Parse the rows in bytes [start, end) of the file at `path`, where
+    `start` is 0 or follows a newline, write their times, then their
+    values, to the file `out`, and return their count. The range's leading
+    lines that `_skipped` skips are skipped, and numpy parses exactly the
+    lines after them. numpy is told where they begin by their line number
+    and where they end by their count of commas, one per row; a line it
+    skips (an empty one) has none, and one with more or fewer fails.
+
+    Returns None where the serial reader must decide instead: a line numpy
+    rejects, one `_skipped` cannot read, or a carriage return anywhere up to
+    `end`, since numpy would count a lone one as a line end."""
+    start, end, out = job
+    try:
+        with open(path, "rb") as f:
+            line_no = rows = 0
+            for block in _blocks(f, start):
+                if b"\r" in block:
+                    return None
+                line_no += block.count(b"\n")
+            while f.tell() < end:
+                line = f.readline()
+                if b"\r" in line:
+                    return None
+                if not _skipped(line.decode("utf-8", "surrogateescape").strip()):
+                    rows = line.count(b",")
+                    break
+                line_no += 1
+            for block in _blocks(f, end):
+                if b"\r" in block:
+                    return None
+                rows += block.count(b",")
+        parsed = _loadtxt(path, skiprows=line_no, max_rows=rows) if rows else np.empty(0, _ROW)
+        if len(parsed) != rows:
+            return None
+        with open(out, "wb") as f:
+            for name in ("t", "v"):
+                f.write(np.ascontiguousarray(parsed[name]))  # tofile writes a strided view slowly
+        return rows
+    except (ValueError, OverflowError, DeprecationWarning, OSError):
+        return None
 
 
 def _read_rows(f):
@@ -241,15 +377,16 @@ def parse_klines(raw, symbol):
     return series
 
 
-def read_leg(path, symbol):
+def read_leg(path, symbol, pool=None):
     """Read one leg file as a PriceSeries. Its first line that is neither
     blank nor a `#` comment decides the format: seven or more
     comma-separated fields mean a Binance kline CSV (`parse_klines`),
-    anything else a normalized `open_time_ms,close` CSV."""
+    anything else a normalized `open_time_ms,close` CSV, which a `pool`
+    parses in byte ranges when it is large (`read_series_csv`)."""
     with open(path, "rb") as f:
         first = next((s for s in map(bytes.strip, f) if s and not s.startswith(b"#")), b"")
         if first.count(b",") < 6:
-            return PriceSeries.from_csv(path, symbol)
+            return PriceSeries.from_csv(path, symbol, pool)
         f.seek(0)
         return parse_klines(f.read(), symbol)
 

@@ -9,9 +9,7 @@ the result is independent of worker count.
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from .errors import InsufficientReplications, InvalidArgument, SpotvarError, TooManyFailures
 from .ou import OUParams, mle_fit, simulate_path
+from .parallel import fork_pool, pool_map
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,9 @@ def _replications(fitted, cfg, seeds):
     return results
 
 
-def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSamples:
+def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1, pool=None) -> McSamples:
     """Simulate-and-refit replications; errors are excluded and counted.
+    They run on `pool` if given, else on a pool of `workers` forked here.
 
     Raises TooManyFailures if more than 1% of replications error out.
     """
@@ -96,18 +96,9 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1) -> McSampl
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.replications)
     chunks = [seeds[i:i + _CHUNK] for i in range(0, len(seeds), _CHUNK)]
     job = partial(_replications, fitted, cfg)
-
-    if workers > 1:
-        # forked workers inherit the parent's numpy and spotvar imports
-        # instead of importing their own. Python 3.14 no longer picks fork by
-        # default on Linux; other platforms keep their default start method.
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            per_chunk = list(pool.map(job, chunks))
-    else:
-        per_chunk = [job(chunk) for chunk in chunks]
-    # chunks come back in order, so results are in seed order at any worker count
-    results = [r for chunk in per_chunk for r in chunk]
+    with fork_pool(workers) if pool is None else nullcontext(pool) as pool:
+        # chunks come back in order, so results are in seed order at any worker count
+        results = [r for chunk in pool_map(pool, job, chunks) for r in chunk]
 
     ok = [r for r in results if r is not None]
     n_failed = cfg.replications - len(ok)

@@ -51,43 +51,44 @@ class VariationSeries:
     def __len__(self):
         return len(self.times)
 
-    def to_csv(self, path_or_buf, header_comment=None):
+    def to_csv(self, path_or_buf, header_comment=None, pool=None):
         """Write the `open_time_ms,variation` CSV, after an optional
-        `# header_comment` line."""
-        write_series_csv(
-            path_or_buf, "open_time_ms,variation", self.times, self.values, header_comment
-        )
+        `# header_comment` line; rows are formatted on `pool` if given."""
+        write_series_csv(path_or_buf, "open_time_ms,variation", self.times, self.values,
+                         header_comment, pool)
 
     @classmethod
-    def from_csv(cls, path_or_buf):
-        """Read an `open_time_ms,variation` CSV (comment lines allowed)."""
-        return cls(*read_series_csv(path_or_buf))
+    def from_csv(cls, path_or_buf, pool=None):
+        """Read an `open_time_ms,variation` CSV (comment lines allowed); a
+        large file is parsed on `pool` if given."""
+        return cls(*read_series_csv(path_or_buf, pool))
 
 
 def align(spot: PriceSeries, num: PriceSeries, den: PriceSeries) -> AlignedTriple:
     """Strict intersection of the three timestamp sets; no interpolation."""
-    # PriceSeries timestamps are strictly increasing, hence unique
-    common = np.intersect1d(spot.times, num.times, assume_unique=True)
-    common = np.intersect1d(common, den.times, assume_unique=True)
-    if len(common) == 0:
+    # PriceSeries timestamps are strictly increasing: a spot minute is common
+    # when each other leg holds it where searchsorted would insert it
+    common = np.ones(len(spot), dtype=bool)
+    positions = []
+    for leg in (num, den):
+        idx = np.searchsorted(leg.times, spot.times)
+        common &= leg.times[np.minimum(idx, len(leg) - 1)] == spot.times
+        positions.append(idx)
+    times = spot.times[common]
+    if len(times) == 0:
         raise EmptyIntersection(
             f"no common timestamps across {spot.symbol}/{num.symbol}/{den.symbol}"
         )
-
-    def pick(series):
-        idx = np.searchsorted(series.times, common)
-        return series.closes[idx]
-
     dropped = {
-        "spot": len(spot) - len(common),
-        "num": len(num) - len(common),
-        "den": len(den) - len(common),
+        "spot": len(spot) - len(times),
+        "num": len(num) - len(times),
+        "den": len(den) - len(times),
     }
     return AlignedTriple(
-        times=common.astype(np.int64),
-        spot=pick(spot),
-        num=pick(num),
-        den=pick(den),
+        times=times,
+        spot=spot.closes[common],
+        num=num.closes[positions[0][common]],
+        den=den.closes[positions[1][common]],
         dropped=dropped,
     )
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 
 import spotvar.cli as cli
 from conftest import MINUTE_MS, child_env
-from spotvar import errors
+from spotvar import errors, ingest, parallel
 from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
@@ -280,6 +281,75 @@ class TestReportCommand:
         assert sorted(p.name for p in out.iterdir()) == golden_files
         for name in golden_files:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+class TestWorkers:
+    """`--workers` changes how the work is split, never what is written or
+    reported. Run in process with the split sizes patched low, so that even
+    the sample legs are parsed in byte ranges and written in chunks."""
+
+    @pytest.fixture
+    def small_splits(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", 100)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_golden_bundle_at_any_worker_count(self, tmp_path, monkeypatch, small_splits,
+                                               workers):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "bundle"
+        argv = ["report", "--manifest", "golden_manifest.json", "--out-dir", str(out),
+                "--workers", str(workers)]
+        assert cli_entry(argv) == 0
+        golden = DATA / "golden_report"
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert not multiprocessing.active_children()
+
+    def test_malformed_leg_gives_the_same_error_at_any_worker_count(self, tmp_path, capsys,
+                                                                    small_splits):
+        legs = {}
+        for leg, path in SAMPLE_LEGS.items():
+            legs[leg] = tmp_path / f"{leg}.csv"
+            legs[leg].write_bytes(path.read_bytes())
+        lines = legs["num"].read_bytes().splitlines(keepends=True)
+        lines[800] = lines[800].replace(b",", b"\xff,")  # in the last byte range
+        legs["num"].write_bytes(b"".join(lines))
+        errs = []
+        for workers in (1, 2):
+            argv = ["report", *_leg_args(legs), "--skip-mc", "--workers", str(workers),
+                    "--out-dir", str(tmp_path / f"w{workers}")]
+            assert cli_entry(argv) == 3
+            errs.append(capsys.readouterr().err)
+            assert not multiprocessing.active_children()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error at stage 'load': malformed kline row at line 801:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["ci", "--input", "VAR", "--replications", "20", "--path-length", "100",
+         "--workers", "1", "--out-dir", "OUT"],
+        ["report", *_leg_args(SAMPLE_LEGS), "--workers", "1", "--replications", "20",
+         "--path-length", "100", "--out-dir", "OUT"],
+        ["variation", *_leg_args(SAMPLE_LEGS), "--workers", "1", "--out", "OUT/v.csv"],
+        ["summarize", "--input", "VAR", "--out-dir", "OUT"],
+    ])
+    def test_one_worker_forks_nothing(self, tmp_path, monkeypatch, small_splits,
+                                      variation_csv, argv):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        files = {"VAR": str(variation_csv), "OUT": str(tmp_path / "out"),
+                 "OUT/v.csv": str(tmp_path / "out" / "v.csv")}
+        assert cli_entry([files.get(a, a) for a in argv]) == 0
+
+    @pytest.mark.parametrize("command", ["variation", "ci", "report"])
+    def test_workers_default_to_the_usable_cores(self, command):
+        option = next(p for p in cli.main.commands[command].params if p.name == "workers")
+        assert option.default is parallel.usable_cores
+        assert parallel.usable_cores() >= 1
 
 
 class TestBadValues:

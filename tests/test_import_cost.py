@@ -5,11 +5,12 @@ runs in a fresh interpreter, since this one may have imported scipy.signal
 already."""
 
 import sys
+from concurrent.futures import Future
 
 import pytest
 
 from conftest import run_python
-from spotvar import McConfig, OUParams, montecarlo
+from spotvar import McConfig, OUParams, montecarlo, parallel
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -47,10 +48,12 @@ def test_parallel_sampling_forks_whatever_the_default_start_method(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
     cfg = McConfig(replications=4, path_length=100, master_seed=1)
     montecarlo.sampling_distribution(OUParams(0.8, 0.0, 0.001), cfg, workers=2)
     assert [c.get_start_method() for c in contexts] == ["fork"]

@@ -1,7 +1,10 @@
 import io
 import json
+import multiprocessing
+import pickle
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest, parse_klines
+from spotvar.parallel import Pool, fork_pool
 from spotvar.errors import (
     EmptyInput,
     EmptyRange,
@@ -64,6 +68,12 @@ class TestParseKlines:
         with pytest.raises(MalformedRow) as exc:
             parse_klines(raw, "BTCUSDT")
         assert exc.value.line_no == 2
+
+    def test_malformed_row_survives_pickling(self):
+        """A process pool sends errors back pickled."""
+        back = pickle.loads(pickle.dumps(MalformedRow(5, "bad")))
+        assert str(back) == "malformed kline row at line 5: bad"
+        assert back.line_no == 5
 
     def test_unparseable_price_rejected(self):
         raw = b"1504224000000,abc,4689.89,4689.89,4689.89,0.5,1504224059999\n"
@@ -313,6 +323,129 @@ class TestFastReaderMatchesPerLine:
         buf = io.StringIO("junk\n60000,1.5\n")
         buf.readline()
         assert ingest.read_series_csv(buf)[0].tolist() == [60000]
+
+
+def _rarely(usual, odd):
+    """`odd` one time in twenty, else `usual`: most examples then hold files
+    that every byte range parses, so a range that reads too much shows."""
+    return st.tuples(st.integers(0, 19), usual, odd).map(lambda t: t[1] if t[0] else t[2])
+
+
+_RANGE_LINE = _rarely(
+    st.builds("{},{}".format, _rarely(st.integers(-(2**62), 2**62).map(str), _TIME_FIELD),
+              _rarely(st.floats().map(repr), _VALUE_FIELD)),
+    st.sampled_from(["", "", "# comment", "#caf\xe9", "open_time_ms,close", "   ", "1,2,3",
+                     "# lone carriage return\r1,2.5"]),
+)
+_RANGE_FILE = st.fixed_dictionaries({
+    "lines": st.lists(_RANGE_LINE, min_size=1, max_size=40),
+    "end": _rarely(st.just("\n"), st.just("\r\n")),
+    "trailing_newline": _mostly(st.just(True), st.just(False)),
+    "not_utf8_at": _rarely(st.none(), st.floats(0.5, 1.0)),  # a share of the file
+    "name": _rarely(st.just("input.csv"), st.just("input.csv.gz")),
+    "workers": st.sampled_from([2, 3, 5]),
+})
+
+
+def _range_file(directory, spec):
+    data = spec["end"].join(spec["lines"]).encode("utf-8")
+    if spec["trailing_newline"]:
+        data += spec["end"].encode()
+    if spec["not_utf8_at"] is not None:
+        at = int(spec["not_utf8_at"] * len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    path = directory / spec["name"]
+    path.write_bytes(data)
+    return path
+
+
+class TestRangeReader:
+    """With a pool, `read_series_csv` parses a large plain-path file in one
+    byte range per worker. Whatever the text, it returns what the serial
+    reader returns, bit for bit, or raises the same error at the same line."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with fork_pool(5) as pool:
+            yield pool
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("ranges")
+
+    @given(spec=_RANGE_FILE)
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_serial_reader(self, pool, scratch, spec):
+        path = _range_file(scratch, spec)
+        split = Pool(pool.executor, spec["workers"])  # one range per worker
+        serial = _outcome(lambda: ingest.read_series_csv(path))
+        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
+        ranges = ingest._read_ranges(str(path), split)
+        if ranges is not None:  # the ranges alone parsed the file: serial must agree
+            _assert_same_outcome(ranges, serial)
+
+    def test_ranges_skip_blank_lines_without_reading_the_next_range(self, pool, tmp_path):
+        """Every range holds a blank line: numpy skips it without counting
+        it as a row, so a range that counted newlines would read a row of
+        the next range twice."""
+        rows = [f"{60_000 * k},{k / 7!r}" for k in range(300)]
+        lines = ["# leading comment", "open_time_ms,close"]
+        for k, row in enumerate(rows):
+            lines += [row, ""] if k % 10 == 3 else [row]
+        path = tmp_path / "blank.csv"
+        path.write_text("\n".join(lines))  # no trailing newline
+        serial = ingest.read_series_csv(path)
+        assert len(serial[0]) == 300
+        for workers in (2, 3, 5):
+            ranges = ingest._read_ranges(str(path), Pool(pool.executor, workers))
+            assert ranges is not None
+            _assert_same_outcome(ranges, serial)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"x", b"\r"])
+    def test_a_failed_range_hands_the_file_to_the_serial_reader(self, pool, tmp_path, bad):
+        rows = [f"{60_000 * k},1.5" for k in range(300)]
+        rows[250] = rows[250].replace(",", bad.decode("latin-1") + ",")
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+        assert ingest._read_ranges(str(path), pool) is None
+        serial = _outcome(lambda: ingest.read_series_csv(path))
+        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
+            assert _outcome(lambda: ingest.read_series_csv(path, pool)) == serial
+        assert serial == (MalformedRow, 251)
+
+    @pytest.mark.parametrize("head, end", [("# lone carriage return\r1,2.5\n", "\n"),
+                                           ("open_time_ms,close\r\n", "\r\n")])
+    def test_a_carriage_return_hands_the_file_to_the_serial_reader(self, pool, tmp_path,
+                                                                    head, end):
+        """Python and numpy end a line at a lone carriage return, a byte
+        range's newline count does not: the serial reader reads the file."""
+        path = tmp_path / "cr.csv"
+        path.write_bytes((head + "".join(f"{60_000 * k},1.5{end}" for k in range(2, 300))).encode())
+        assert ingest._read_ranges(str(path), pool) is None
+        serial = ingest.read_series_csv(path)
+        assert len(serial[0]) == 298 + head.endswith("1,2.5\n")
+        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
+            _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
+
+
+class TestWriteSeriesCsv:
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(4)
+        times = np.cumsum(rng.integers(1, 10**6, 1000))
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+        values[:4] = [-0.0, np.nan, np.inf, 5e-324]
+        monkeypatch.setattr(ingest, "_WRITE_ROWS", 7)
+        written = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            with fork_pool(workers) as pool:
+                ingest.write_series_csv(path, "t,v", times, values, "comment", pool)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert written[0].startswith(b"# comment\nt,v\n")
+        assert written[0].count(b"\n") == 1002
+        assert not multiprocessing.active_children()
 
 
 def _kline_row(open_time, close=100.0):
