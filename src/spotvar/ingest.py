@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .csvrows import format_rows
 from .errors import (
     EmptyInput,
     EmptyRange,
@@ -91,10 +92,14 @@ class PriceSeries:
         return cls(symbol, *read_series_csv(path_or_buf, pool))
 
 
+def _is_path(path_or_buf):
+    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+
+
 def _open(path_or_buf, mode):
     """A path opened as UTF-8 text, where bytes that are not UTF-8 read as
     lone surrogates; a text buffer as it is, left open."""
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+    if _is_path(path_or_buf):
         return open(path_or_buf, mode, newline="", encoding="utf-8", errors="surrogateescape")
     return contextlib.nullcontext(path_or_buf)
 
@@ -102,28 +107,34 @@ def _open(path_or_buf, mode):
 def _plain_path(path_or_buf):
     """`path_or_buf` as an absolute path, which numpy never takes for a URL,
     or None for a buffer or a name numpy would decompress."""
-    if not (isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")):
+    if not _is_path(path_or_buf):
         return None
     path = os.path.abspath(os.fsdecode(path_or_buf))
     return None if path.endswith(_COMPRESSED) else path
 
 
 def write_series_csv(path_or_buf, header, times, values, header_comment=None, pool=None):
-    """Write `header`, then one `time,value` row per point. Values are
-    written as repr, which round-trips float64 exactly. Rows are formatted
-    in chunks of `_WRITE_ROWS`, on `pool` when given, and written in order."""
+    """Write `header`, then one `time,value` row per point, to a path or a
+    text buffer. Each row is the bytes of `f"{t},{v!r}\\n"`, and repr
+    round-trips float64 exactly. Rows are formatted as ASCII bytes by
+    `csvrows.format_rows`, in chunks of `_WRITE_ROWS`, on `pool` when
+    given, and written in order: to a path in binary mode, to a text
+    buffer decoded."""
     chunks = ((times[i:i + _WRITE_ROWS], values[i:i + _WRITE_ROWS])
               for i in range(0, len(times), _WRITE_ROWS))
-    with _open(path_or_buf, "w") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        f.write(header + "\n")
-        f.writelines(pool_map(pool, _format_rows, chunks))
+    head = (f"# {header_comment}\n" if header_comment else "") + header + "\n"
+    rows = pool_map(pool, _format_rows, chunks)
+    if not _is_path(path_or_buf):
+        path_or_buf.write(head)
+        path_or_buf.writelines(chunk.decode("ascii") for chunk in rows)
+        return
+    with open(path_or_buf, "wb") as f:
+        f.write(head.encode("utf-8", "surrogateescape"))
+        f.writelines(rows)
 
 
 def _format_rows(chunk):
-    times, values = chunk
-    return "".join([f"{t},{v!r}\n" for t, v in zip(times.tolist(), values.tolist())])
+    return format_rows(*chunk)
 
 
 def read_series_csv(path_or_buf, pool=None):

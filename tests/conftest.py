@@ -48,6 +48,13 @@ def price_series(symbol, times, closes):
     return PriceSeries(symbol=symbol, times=np.asarray(times), closes=np.asarray(closes))
 
 
+def fstring_rows(times, values):
+    """The `time,value` rows as the CSV writer formatted them before
+    `csvrows`, one f-string per row: the oracle its bytes must equal."""
+    rows = zip(np.asarray(times).tolist(), np.asarray(values).tolist())
+    return "".join([f"{t},{v!r}\n" for t, v in rows]).encode()
+
+
 def quantile_oracle(values, q):
     """Sort-based brute-force quantile with linear interpolation between
     closest order statistics (midpoint-symmetric lerp)."""

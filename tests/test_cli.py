@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import spotvar.cli as cli
-from conftest import MINUTE_MS, child_env
-from spotvar import errors, ingest, parallel
+from conftest import MINUTE_MS, child_env, fstring_rows
+from spotvar import OUParams, errors, ingest, parallel, simulate_path
 from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
@@ -192,6 +192,19 @@ class TestPipelineCommands:
         assert result.returncode == 0
         values = dict(json.loads((tmp_path / "table5_ou_fit.json").read_text())["rows"])
         assert values["alpha"] == pytest.approx(0.8, rel=0.15)
+
+    def test_simulate_writes_the_fstring_rows(self, tmp_path):
+        """`simulate` writes its CSV without a pool: the rows are the bytes
+        `f"{t},{v!r}\\n"` writes for the simulated path."""
+        out = tmp_path / "f.csv"
+        result = run_cli(
+            "simulate", "--alpha", 0.8, "--mu", -2e-5, "--sigma", 0.0017,
+            "--steps", 5000, "--seed", 3, "--out", out,
+        )
+        assert result.returncode == 0, result.stderr
+        path = simulate_path(OUParams(alpha=0.8, mu=-2e-5, sigma=0.0017), -2e-5, 5000, rng_seed=3)
+        rows = fstring_rows(np.arange(len(path)), path)
+        assert out.read_bytes() == b"open_time_ms,variation\n" + rows
 
     def test_ci_command(self, tmp_path, variation_csv):
         result = run_cli(

@@ -8,10 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import fstring_rows
 from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest, parse_klines
+from spotvar.csvrows import format_rows
 from spotvar.parallel import Pool, fork_pool
 from spotvar.errors import (
     EmptyInput,
@@ -373,8 +375,12 @@ class TestRangeReader:
     def scratch(self, tmp_path_factory):
         return tmp_path_factory.mktemp("ranges")
 
+    # no shrink phase: each shrink step runs pool jobs on files, and shrinking
+    # one failure took minutes and hundreds of MB; a failure reports the
+    # example hypothesis first found
     @given(spec=_RANGE_FILE)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     def test_same_outcome_as_the_serial_reader(self, pool, scratch, spec):
         path = _range_file(scratch, spec)
         split = Pool(pool.executor, spec["workers"])  # one range per worker
@@ -429,12 +435,81 @@ class TestRangeReader:
             _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# the magnitudes whose digits `csvrows` computes itself, and a little beyond
+_KERNEL_FLOATS = st.floats(1e-11, 1e16) | st.floats(-1e16, -1e-11)
+
+
+def _same_rows(times, values):
+    """`format_rows` on chunks of the writer's size writes the f-string rows."""
+    times, values = np.asarray(times, np.int64), np.asarray(values, np.float64)
+    k = ingest._WRITE_ROWS
+    rows = b"".join(format_rows(times[i:i + k], values[i:i + k]) for i in range(0, len(times), k))
+    assert rows == fstring_rows(times, values)
+
+
+def _neighbours(values):
+    """`values`, the doubles on either side of each, and all of them negated."""
+    values = np.asarray(values, np.float64)
+    near = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    return np.concatenate([near, -near])
+
+
+class TestFormatRows:
+    """`csvrows.format_rows` writes the bytes of `f"{t},{v!r}\\n"` for every
+    int64 time and float64 value."""
+
+    @given(st.lists(st.tuples(_INT64, st.floats() | _KERNEL_FLOATS), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_time_and_double(self, rows):
+        _same_rows([t for t, _ in rows], [v for _, v in rows])
+
+    def test_int64_times(self):
+        powers = [10**k + d for k in range(19) for d in (-1, 0, 1)]
+        times = [0, -(2**63), 2**63 - 1, *powers, *(-t for t in powers)]
+        _same_rows(times, np.full(len(times), 1.5))
+
+    def test_random_bit_patterns(self):
+        """A million doubles of random sign and fraction bits, with exponents
+        over the range `csvrows` computes itself, and doubles of any bits."""
+        rng = np.random.default_rng(14)
+        n = 1_000_000
+        sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(985, 1076, n, dtype=np.uint64) << np.uint64(52)
+        fraction = rng.integers(0, 2**52, n, dtype=np.uint64)
+        values = np.concatenate([(sign | exponent | fraction).view(np.float64),
+                                 rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)])
+        _same_rows(np.arange(len(values)), values)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([2.0**k for k in range(-1074, 1024)], id="powers of two"),
+        pytest.param([float(f"1e{k}") for k in range(-323, 309)], id="powers of ten"),
+        # repr switches to `d.ddde±XX` below 1e-4 and from 1e16; csvrows
+        # computes the digits of 1e-10 <= |v| < 1e15 itself
+        pytest.param([1e-4, 1e16, 1e-10, 1e15, 9.999999999999999e-05, 9999999999999998.0],
+                     id="layout and kernel edges"),
+    ])
+    def test_edges_and_their_neighbours(self, values):
+        values = _neighbours(values)
+        _same_rows(np.arange(len(values)), values)
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(15)
+        u = rng.uniform(-1e4, 1e4, 5000) * 10.0 ** rng.integers(-8, 9, 5000)
+        values = np.concatenate([np.round(u, k) for k in range(18)]
+                                + [[round(float(v), k) for v in u[:200]] for k in range(12)])
+        _same_rows(np.arange(len(values)), values)
+
+
 class TestWriteSeriesCsv:
     def test_same_bytes_at_any_worker_count(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(4)
         times = np.cumsum(rng.integers(1, 10**6, 1000))
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
         values[:4] = [-0.0, np.nan, np.inf, 5e-324]
+        # and values whose digits csvrows' integer arithmetic computes
+        times = np.concatenate([times, times[-1] + np.arange(1, 501)])
+        values = np.concatenate([values, rng.standard_normal(500) * 0.0017])
         monkeypatch.setattr(ingest, "_WRITE_ROWS", 7)
         written = []
         for workers in (1, 2, 3):
@@ -443,9 +518,18 @@ class TestWriteSeriesCsv:
                 ingest.write_series_csv(path, "t,v", times, values, "comment", pool)
             written.append(path.read_bytes())
         assert written[0] == written[1] == written[2]
-        assert written[0].startswith(b"# comment\nt,v\n")
-        assert written[0].count(b"\n") == 1002
+        assert written[0] == b"# comment\nt,v\n" + fstring_rows(times, values)
         assert not multiprocessing.active_children()
+
+    def test_text_buffer_and_path_get_the_same_text(self, tmp_path):
+        times = np.arange(6) * MINUTE_MS
+        values = np.array([np.nan, np.inf, -0.0, 5e-324, -np.inf, 0.001431325758769031])
+        buf = io.StringIO()
+        ingest.write_series_csv(buf, "open_time_ms,variation", times, values, "hash=ab")
+        path = tmp_path / "v.csv"
+        ingest.write_series_csv(path, "open_time_ms,variation", times, values, "hash=ab")
+        assert buf.getvalue() == path.read_text()
+        assert buf.getvalue().splitlines()[2:5] == ["0,nan", "60000,inf", "120000,-0.0"]
 
 
 def _kline_row(open_time, close=100.0):
