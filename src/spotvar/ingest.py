@@ -143,30 +143,21 @@ def read_series_csv(path_or_buf, pool=None):
     are skipped. A line that is not UTF-8 or not two numbers raises
     MalformedRow; a time outside the int64 range raises InvalidValue.
 
-    numpy's C parser reads the rows after the leading skipped lines. With
-    its deprecation warnings raised as errors it accepts no input the
-    per-line reader rejects: numpy before 2.0 reads an integer field such
-    as `1.0`, `1e3` or one beyond int64 through a float and only warns.
-    Whenever it rejects an input or cannot apply (a buffer that cannot
-    seek), the per-line reader decides: what it accepts, and the error and
-    line number it reports.
-
-    With a `pool`, a plain-path file above `_SPLIT_BYTES` is parsed in one
-    byte range per worker (`_read_ranges`). If any range fails, the whole
-    file is read as without a pool, which alone decides the error."""
+    numpy's C parser reads a plain path in byte ranges (`_read_ranges`):
+    one per worker of `pool` when the file is above `_SPLIT_BYTES`, else
+    one range, here. With its deprecation warnings raised as errors it
+    accepts no input the per-line reader rejects: numpy before 2.0 reads an
+    integer field such as `1.0`, `1e3` or one beyond int64 through a float
+    and only warns. If any range fails, and for a text buffer or a name
+    numpy would decompress, the per-line reader reads the whole input and
+    decides: what it accepts, and the error and line number it reports."""
     path = _plain_path(path_or_buf)
-    if pool is not None and path and os.path.getsize(path) > _SPLIT_BYTES:
-        rows = _read_ranges(path, pool)
+    if path:
+        split = pool is not None and os.path.getsize(path) > _SPLIT_BYTES
+        rows = _read_ranges(path, pool if split else None)
         if rows is not None:
             return rows
     with _open(path_or_buf, "r") as f:
-        seekable = getattr(f, "seekable", None)
-        if seekable and seekable():
-            start = f.tell()
-            try:
-                return _read_rows_fast(f, path)
-            except (ValueError, OverflowError, DeprecationWarning, EmptyInput):
-                f.seek(start)
         times, values = _read_rows(f)
     return int64_times(times), np.asarray(values, dtype=np.float64)
 
@@ -179,53 +170,49 @@ def _skipped(line):
     return not line or line.startswith("#") or line.lower().startswith("open_time_ms")
 
 
-def _read_rows_fast(f, path=None):
-    """Skip the leading lines `_skipped` skips, then parse the rest with
-    `np.loadtxt`: from `path`, the file `f` is open on, which numpy reads in
-    C chunks, or without one from `f`, which numpy reads line by line."""
-    skipped = 0
-    while True:
-        data_start = f.tell()
-        line = f.readline()
-        if not line:
-            raise EmptyInput("no data rows")
-        if not _skipped(line.strip()):
-            break
-        skipped += 1
-    if path:
-        rows = _loadtxt(path, skiprows=skipped)
-    else:
-        f.seek(data_start)
-        rows = _loadtxt(f)
-    # copies: a strided field view would change the summation order downstream
-    return np.ascontiguousarray(rows["t"]), np.ascontiguousarray(rows["v"])
-
-
-def _loadtxt(source, skiprows=0, max_rows=None):
-    """Rows of `source` (a path or a text file) parsed by numpy into a
-    structured array, deprecation warnings raised as errors."""
+def _loadtxt(path, skiprows, max_rows):
+    """Rows of the file at `path` parsed by numpy into a structured array,
+    deprecation warnings raised as errors. numpy's warning that a blank
+    line does not count towards `max_rows` is silenced: blank lines are
+    skipped by design."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(source, dtype=_ROW, delimiter=",", comments=None,
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None,
                           skiprows=skiprows, max_rows=max_rows, ndmin=1, encoding="utf-8")
 
 
+def _lone_cr(data):
+    """Whether `data` holds a carriage return that is not part of a CRLF:
+    numpy ends a line there, and a count of newlines does not."""
+    return b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+
+
 def _blocks(f, stop):
-    """The bytes of binary file `f` from where it is up to offset `stop`."""
-    return iter(lambda: f.read(min(_BLOCK, stop - f.tell())), b"")
+    """The bytes of binary file `f` from where it is up to offset `stop`, in
+    blocks that never end between the carriage return and newline of a CRLF."""
+    while f.tell() < stop:
+        block = f.read(min(_BLOCK, stop - f.tell()))
+        if not block:
+            return
+        if block.endswith(b"\r") and f.tell() < stop:
+            block += f.read(1)
+        yield block
 
 
-def _read_ranges(path, pool):
-    """The rows of the file at `path`, parsed on `pool` in one byte range per
-    worker, each starting after a newline; None if any range fails.
+def _read_ranges(path, pool=None):
+    """The rows of the file at `path`, parsed in one byte range per worker of
+    `pool`, each starting after a newline, or without a pool in one range,
+    `[0, size)`, here; None if any range fails.
 
-    Each worker writes its times, then its values, to a file in a temporary
+    Each range writes its times, then its values, to a file in a temporary
     directory, and this process reads them straight into the two columns.
     Sent back through the pool, they would arrive in pipe reads whose sizes
     depend on timing, and glibc's sliding mmap threshold then left this
     process's peak RSS at 246 or 304 MB from one paper-scale run to the
     next; a buffer larger than a column, freed, moves it too."""
-    size, keep, n = os.path.getsize(path), 1 - _SKIP_COST, pool.workers
+    size, keep = os.path.getsize(path), 1 - _SKIP_COST
+    n = pool.workers if pool is not None else 1
     bounds = [0]
     with open(path, "rb") as f:
         for k in range(1, n):
@@ -236,7 +223,8 @@ def _read_ranges(path, pool):
     bounds.append(size)
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, str(k)) for k in range(n)]
-        counts = list(pool.map(partial(_parse_range, path), zip(bounds, bounds[1:], outs)))
+        jobs = zip(bounds, bounds[1:], outs)
+        counts = list(pool_map(pool, partial(_parse_range, path), jobs))
         if None in counts or not sum(counts):
             return None
         columns = np.empty(sum(counts), np.int64), np.empty(sum(counts), np.float64)
@@ -258,27 +246,28 @@ def _parse_range(path, job):
     and where they end by their count of commas, one per row; a line it
     skips (an empty one) has none, and one with more or fewer fails.
 
-    Returns None where the serial reader must decide instead: a line numpy
-    rejects, one `_skipped` cannot read, or a carriage return anywhere up to
-    `end`, since numpy would count a lone one as a line end."""
+    Returns None where the per-line reader must decide instead: a line
+    numpy rejects, one `_skipped` cannot read, or a lone carriage return
+    (`_lone_cr`) anywhere up to `end`, which numpy would count as a line
+    end. A CRLF is one line end to both, and numpy parses it."""
     start, end, out = job
     try:
         with open(path, "rb") as f:
             line_no = rows = 0
             for block in _blocks(f, start):
-                if b"\r" in block:
+                if _lone_cr(block):
                     return None
                 line_no += block.count(b"\n")
             while f.tell() < end:
                 line = f.readline()
-                if b"\r" in line:
+                if _lone_cr(line):
                     return None
                 if not _skipped(line.decode("utf-8", "surrogateescape").strip()):
                     rows = line.count(b",")
                     break
                 line_no += 1
             for block in _blocks(f, end):
-                if b"\r" in block:
+                if _lone_cr(block):
                     return None
                 rows += block.count(b",")
         parsed = _loadtxt(path, skiprows=line_no, max_rows=rows) if rows else np.empty(0, _ROW)

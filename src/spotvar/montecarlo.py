@@ -9,7 +9,6 @@ the result is independent of worker count.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import InsufficientReplications, InvalidArgument, SpotvarError, TooManyFailures
 from .ou import OUParams, mle_fit, simulate_path
-from .parallel import fork_pool, pool_map
+from .parallel import pool_map
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,9 @@ def _replications(fitted, cfg, seeds):
     return results
 
 
-def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1, pool=None) -> McSamples:
+def sampling_distribution(fitted: OUParams, cfg: McConfig, pool=None) -> McSamples:
     """Simulate-and-refit replications; errors are excluded and counted.
-    They run on `pool` if given, else on a pool of `workers` forked here.
+    They run on `pool` if given, else in this process.
 
     Raises TooManyFailures if more than 1% of replications error out.
     """
@@ -96,9 +95,8 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, workers=1, pool=None)
     seeds = np.random.SeedSequence(cfg.master_seed).spawn(cfg.replications)
     chunks = [seeds[i:i + _CHUNK] for i in range(0, len(seeds), _CHUNK)]
     job = partial(_replications, fitted, cfg)
-    with fork_pool(workers) if pool is None else nullcontext(pool) as pool:
-        # chunks come back in order, so results are in seed order at any worker count
-        results = [r for chunk in pool_map(pool, job, chunks) for r in chunk]
+    # chunks come back in order, so results are in seed order at any worker count
+    results = [r for chunk in pool_map(pool, job, chunks) for r in chunk]
 
     ok = [r for r in results if r is not None]
     n_failed = cfg.replications - len(ok)

@@ -53,10 +53,6 @@ class TransitionParams:
     omega: float
     cond_sd: float
 
-    def validate(self):
-        if not (0 < self.omega < 1 and self.cond_sd > 0):
-            raise InvalidParams(f"require 0 < omega < 1 and cond_sd > 0; got {self}")
-
 
 def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
     params.validate()
@@ -180,6 +176,4 @@ def mle_fit(series, dt=1.0):
 
     params = OUParams(alpha=alpha, mu=-reg.intercept / reg.delta, sigma=math.sqrt(sigma2))
     params.validate()
-    tp = TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
-    tp.validate()
-    return params, tp, reg
+    return params, TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var)), reg

@@ -53,8 +53,6 @@ class PercentileTable:
 @dataclass(frozen=True)
 class YearSlice:
     label: int  # ordinal year number, 1-based
-    start: int  # ms inclusive
-    end: int  # ms exclusive
     series: VariationSeries
 
 
@@ -82,21 +80,11 @@ def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSl
     """
     check_n_years(n_years)
     slices = []
-    sample_end = int(series.times[-1]) + 1 if len(series) else epoch_start_ms + n_years * YEAR_MS
     year_idx = np.clip((series.times - epoch_start_ms) // YEAR_MS, 0, n_years - 1)
     for k in range(n_years):
-        start = epoch_start_ms + k * YEAR_MS
-        end = epoch_start_ms + (k + 1) * YEAR_MS
-        if k == n_years - 1:
-            end = max(end, sample_end)
         mask = year_idx == k
         slices.append(
-            YearSlice(
-                label=k + 1,
-                start=start,
-                end=end,
-                series=VariationSeries(series.times[mask], series.values[mask]),
-            )
+            YearSlice(label=k + 1, series=VariationSeries(series.times[mask], series.values[mask]))
         )
     return slices
 

@@ -339,6 +339,22 @@ class TestWorkers:
         assert errs[0] == errs[1]
         assert errs[0].startswith("error at stage 'load': malformed kline row at line 801:")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_blank_line_prints_nothing(self, tmp_path, capfd, small_splits, workers):
+        """numpy warns that a blank line does not count towards a range's
+        `max_rows`. Blank lines are skipped by design: nothing reaches
+        stderr, in this process or a worker, and the rows are the same."""
+        legs = {}
+        for leg, path in SAMPLE_LEGS.items():
+            lines = path.read_bytes().splitlines(keepends=True)
+            legs[leg] = tmp_path / f"{leg}.csv"
+            legs[leg].write_bytes(b"".join(lines[:500] + [b"\n"] + lines[500:]))
+        out = tmp_path / "blank.csv"
+        assert cli_entry(["variation", *_leg_args(legs), "--workers", str(workers),
+                          "--out", str(out)]) == 0
+        assert capfd.readouterr().err == ""
+        assert out.read_bytes() == _variation_bytes(SAMPLE_LEGS, tmp_path / "plain.csv")
+
     @pytest.mark.parametrize("argv", [
         ["--version"],
         ["ci", "--input", "VAR", "--replications", "20", "--path-length", "100",

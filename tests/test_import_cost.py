@@ -22,10 +22,12 @@ def test_simulation_and_parallel_sampling_leave_scipy_signal_out():
     loaded = run_python(
         "import sys\n"
         "from spotvar import McConfig, OUParams, sampling_distribution, simulate_path\n"
+        "from spotvar.parallel import fork_pool\n"
         "params = OUParams(0.8, 0.0, 0.001)\n"
         "simulate_path(params, 0.0, 100, rng_seed=1)\n"
         "cfg = McConfig(replications=4, path_length=100, master_seed=1)\n"
-        "sampling_distribution(params, cfg, workers=2)\n"
+        "with fork_pool(2) as pool:\n"
+        "    sampling_distribution(params, cfg, pool=pool)\n"
         "print('scipy.signal' in sys.modules)\n"
     )
     assert loaded == "False"
@@ -55,5 +57,6 @@ def test_parallel_sampling_forks_whatever_the_default_start_method(monkeypatch):
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", SerialPool)
     cfg = McConfig(replications=4, path_length=100, master_seed=1)
-    montecarlo.sampling_distribution(OUParams(0.8, 0.0, 0.001), cfg, workers=2)
+    with parallel.fork_pool(2) as pool:
+        montecarlo.sampling_distribution(OUParams(0.8, 0.0, 0.001), cfg, pool=pool)
     assert [c.get_start_method() for c in contexts] == ["fork"]

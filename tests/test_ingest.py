@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fstring_rows
@@ -241,6 +241,11 @@ def _per_line(buf):
     return ingest.int64_times(times), np.asarray(values, dtype=np.float64)
 
 
+def _per_line_outcome(path):
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        return _outcome(lambda: _per_line(f))
+
+
 def _assert_same_outcome(fast, per_line):
     if isinstance(per_line[0], type):
         assert fast == per_line
@@ -271,10 +276,7 @@ class TestFastReaderMatchesPerLine:
     def test_same_outcome(self, scratch, text):
         scratch.write_bytes(text.encode("utf-8"))
         from_path = _outcome(lambda: ingest.read_series_csv(scratch))
-        with open(scratch, newline="", encoding="utf-8", errors="surrogateescape") as f:
-            _assert_same_outcome(from_path, _outcome(lambda: _per_line(f)))
-        from_buffer = _outcome(lambda: ingest.read_series_csv(io.StringIO(text)))
-        _assert_same_outcome(from_buffer, _outcome(lambda: _per_line(io.StringIO(text))))
+        _assert_same_outcome(from_path, _per_line_outcome(scratch))
 
     @pytest.mark.parametrize("text", [
         "open_time_ms,close\n60000,1.5\n",  # one row
@@ -287,28 +289,34 @@ class TestFastReaderMatchesPerLine:
         "60000,1.5\n1.0,2.5\n",
         "60000,1.5\n1e3,2.5\n",
     ])
-    def test_edge_cases(self, text):
+    def test_edge_cases(self, tmp_path, text):
         """A one-row file, CRLF after a leading comment and blank line, and
         seven inputs the fast path hands to the per-line reader."""
-        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(io.StringIO(text))),
+        path = tmp_path / "input.csv"
+        path.write_text(text, newline="")
+        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)),
                              _outcome(lambda: _per_line(io.StringIO(text))))
 
     @pytest.mark.parametrize("text", [
         "60000,1.5\n1.0,2.5\n", "60000,1.5\n1e3,2.5\n", f"60000,1.5\n{2**63},2.5\n",
     ])
-    def test_loadtxt_deprecation_falls_back(self, monkeypatch, text):
+    def test_loadtxt_deprecation_falls_back(self, monkeypatch, tmp_path, text):
         """numpy before 2.0 reads an integer field through a float and only
-        warns; that warning hands the text to the per-line reader."""
-        def loose_loadtxt(f, dtype, **kwargs):
+        warns; that warning hands the file to the per-line reader."""
+        def loose_loadtxt(path, dtype, skiprows=0, max_rows=None, **kwargs):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning, stacklevel=2)
-            rows = [tuple(map(float, line.split(","))) for line in f.read().splitlines()]
+            with open(path) as f:
+                lines = f.read().splitlines()[skiprows:][:max_rows]
+            rows = [tuple(map(float, line.split(","))) for line in lines]
             with np.errstate(invalid="ignore"):  # a time beyond int64 wraps silently
                 return np.array(rows, dtype=[("t", np.float64), ("v", np.float64)]).astype(dtype)
 
+        path = tmp_path / "input.csv"
+        path.write_text(text)
         monkeypatch.setattr(np, "loadtxt", loose_loadtxt)
         with pytest.raises(SpotvarError) as exc:
-            ingest.read_series_csv(io.StringIO(text))
+            ingest.read_series_csv(path)
         assert _outcome(lambda: _per_line(io.StringIO(text))) == (
             type(exc.value), getattr(exc.value, "line_no", None))
 
@@ -346,7 +354,24 @@ _RANGE_FILE = st.fixed_dictionaries({
     "not_utf8_at": _rarely(st.none(), st.floats(0.5, 1.0)),  # a share of the file
     "name": _rarely(st.just("input.csv"), st.just("input.csv.gz")),
     "workers": st.sampled_from([2, 3, 5]),
+    "block": _rarely(st.just(ingest._BLOCK), st.integers(1, 8)),  # bytes read at a time
 })
+
+
+def _rows(n):
+    """`n` distinct well-formed rows."""
+    return [f"{60_000 * k},{k / 7!r}" for k in range(n)]
+
+
+def _spec(lines, end="\n", workers=3, block=ingest._BLOCK):
+    return {"lines": lines, "end": end, "trailing_newline": True, "not_utf8_at": None,
+            "name": "input.csv", "workers": workers, "block": block}
+
+
+# a row, a lone carriage return and a row on the line at index 20 of 40, inside
+# the second of three ranges: the third range counts one line fewer than numpy
+_LONE_CR_IN_RANGE = _rows(40)
+_LONE_CR_IN_RANGE[20] = "1200000,1.5\r1200001,2.5"
 
 
 def _range_file(directory, spec):
@@ -379,12 +404,19 @@ class TestRangeReader:
     # one failure took minutes and hundreds of MB; a failure reports the
     # example hypothesis first found
     @given(spec=_RANGE_FILE)
+    @example(spec=_spec(_LONE_CR_IN_RANGE))
+    @example(spec=_spec(_rows(40), end="\r\n"))
+    @example(spec=_spec(_rows(40), end="\r\n", block=1))  # every CRLF split by a block end
     @settings(max_examples=300, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     def test_same_outcome_as_the_serial_reader(self, pool, scratch, spec):
+        """Also in one range, in this process, where `_BLOCK` is patched:
+        the pool's workers were forked with the real one."""
         path = _range_file(scratch, spec)
         split = Pool(pool.executor, spec["workers"])  # one range per worker
-        serial = _outcome(lambda: ingest.read_series_csv(path))
+        serial = _per_line_outcome(path)
+        with mock.patch.object(ingest, "_BLOCK", spec["block"]):
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)), serial)
         with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
             _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
         ranges = ingest._read_ranges(str(path), split)
@@ -425,12 +457,17 @@ class TestRangeReader:
     def test_a_carriage_return_hands_the_file_to_the_serial_reader(self, pool, tmp_path,
                                                                     head, end):
         """Python and numpy end a line at a lone carriage return, a byte
-        range's newline count does not: the serial reader reads the file."""
+        range's newline count does not: the per-line reader reads the file.
+        A CRLF is one line end to all three, so the ranges parse the file."""
         path = tmp_path / "cr.csv"
         path.write_bytes((head + "".join(f"{60_000 * k},1.5{end}" for k in range(2, 300))).encode())
-        assert ingest._read_ranges(str(path), pool) is None
-        serial = ingest.read_series_csv(path)
+        serial = _per_line_outcome(path)
         assert len(serial[0]) == 298 + head.endswith("1,2.5\n")
+        for ranges in (ingest._read_ranges(str(path), pool), ingest._read_ranges(str(path))):
+            if end == "\r\n":
+                _assert_same_outcome(ranges, serial)
+            else:
+                assert ranges is None
         with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
             _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
 

@@ -12,6 +12,7 @@ from spotvar import (
 )
 from spotvar.errors import InsufficientReplications, TooManyFailures
 from spotvar import montecarlo
+from spotvar.parallel import fork_pool
 
 FITTED = OUParams(0.845728, -2.424382e-05, 0.001703)
 
@@ -35,8 +36,9 @@ class TestSamplingDistribution:
 
     def test_worker_count_does_not_change_result(self):
         cfg = McConfig(replications=8, path_length=500, master_seed=7)
-        seq = sampling_distribution(FITTED, cfg, workers=1)
-        par = sampling_distribution(FITTED, cfg, workers=2)
+        seq = sampling_distribution(FITTED, cfg)
+        with fork_pool(2) as pool:
+            par = sampling_distribution(FITTED, cfg, pool=pool)
         assert np.array_equal(seq.alpha, par.alpha)
         assert np.array_equal(seq.mu, par.mu)
         assert np.array_equal(seq.sigma, par.sigma)
@@ -47,7 +49,8 @@ class TestSamplingDistribution:
         equals a fresh simulate-and-refit of its own seed, in seed order,
         across a partial last chunk."""
         cfg = McConfig(replications=11, path_length=400, master_seed=5, initial_value=1e-4)
-        samples = sampling_distribution(FITTED, cfg, workers=workers)
+        with fork_pool(workers) as pool:
+            samples = sampling_distribution(FITTED, cfg, pool=pool)
         fresh = []
         for seed in np.random.SeedSequence(5).spawn(11):
             params, _, _ = mle_fit(simulate_path(FITTED, 1e-4, 400, 1.0, rng_seed=seed))
