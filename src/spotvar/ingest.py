@@ -42,11 +42,6 @@ _SPLIT_BYTES = 4 << 20
 _WRITE_ROWS = 1 << 16
 # names that numpy's loadtxt decompresses (numpy.lib._datasource)
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# bytes a range's worker reads at a time while it counts lines and commas
-_BLOCK = 1 << 20
-# a range's worker skips the lines before it at about this share of the cost
-# of parsing them (numpy at paper scale), so later ranges are shorter
-_SKIP_COST = 0.2
 _ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 
 
@@ -145,12 +140,14 @@ def read_series_csv(path_or_buf, pool=None):
 
     numpy's C parser reads a plain path in byte ranges (`_read_ranges`):
     one per worker of `pool` when the file is above `_SPLIT_BYTES`, else
-    one range, here. With its deprecation warnings raised as errors it
-    accepts no input the per-line reader rejects: numpy before 2.0 reads an
-    integer field such as `1.0`, `1e3` or one beyond int64 through a float
-    and only warns. If any range fails, and for a text buffer or a name
-    numpy would decompress, the per-line reader reads the whole input and
-    decides: what it accepts, and the error and line number it reports."""
+    one range, here. Each range is parsed from its own bytes to its end,
+    so every line reaches numpy, whatever the worker count. With its
+    deprecation warnings raised as errors numpy accepts no input the
+    per-line reader rejects: numpy before 2.0 reads an integer field such
+    as `1.0`, `1e3` or one beyond int64 through a float and only warns. If
+    any range fails, and for a text buffer or a name numpy would
+    decompress, the per-line reader reads the whole input and decides:
+    what it accepts, and the error and line number it reports."""
     path = _plain_path(path_or_buf)
     if path:
         split = pool is not None and os.path.getsize(path) > _SPLIT_BYTES
@@ -170,40 +167,26 @@ def _skipped(line):
     return not line or line.startswith("#") or line.lower().startswith("open_time_ms")
 
 
-def _loadtxt(path, skiprows, max_rows):
+def _loadtxt(path):
     """Rows of the file at `path` parsed by numpy into a structured array,
-    deprecation warnings raised as errors. numpy's warning that a blank
-    line does not count towards `max_rows` is silenced: blank lines are
-    skipped by design."""
+    deprecation warnings raised as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None,
-                          skiprows=skiprows, max_rows=max_rows, ndmin=1, encoding="utf-8")
+        return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None, ndmin=1,
+                          encoding="utf-8")
 
 
 def _lone_cr(data):
     """Whether `data` holds a carriage return that is not part of a CRLF:
-    numpy ends a line there, and a count of newlines does not."""
+    numpy ends a line there, and a split on newlines does not."""
     return b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-
-
-def _blocks(f, stop):
-    """The bytes of binary file `f` from where it is up to offset `stop`, in
-    blocks that never end between the carriage return and newline of a CRLF."""
-    while f.tell() < stop:
-        block = f.read(min(_BLOCK, stop - f.tell()))
-        if not block:
-            return
-        if block.endswith(b"\r") and f.tell() < stop:
-            block += f.read(1)
-        yield block
 
 
 def _read_ranges(path, pool=None):
     """The rows of the file at `path`, parsed in one byte range per worker of
-    `pool`, each starting after a newline, or without a pool in one range,
-    `[0, size)`, here; None if any range fails.
+    `pool`, or without a pool in one range, `[0, size)`, here; None if any
+    range fails. The file is split at equal shares of its size, each split
+    moved to just after the next newline.
 
     Each range writes its times, then its values, to a file in a temporary
     directory, and this process reads them straight into the two columns.
@@ -211,13 +194,12 @@ def _read_ranges(path, pool=None):
     depend on timing, and glibc's sliding mmap threshold then left this
     process's peak RSS at 246 or 304 MB from one paper-scale run to the
     next; a buffer larger than a column, freed, moves it too."""
-    size, keep = os.path.getsize(path), 1 - _SKIP_COST
+    size = os.path.getsize(path)
     n = pool.workers if pool is not None else 1
     bounds = [0]
     with open(path, "rb") as f:
         for k in range(1, n):
-            # range j costs its length plus _SKIP_COST times its start: equal costs
-            f.seek(max(bounds[-1], int(size * (1 - keep**k) / (1 - keep**n))))
+            f.seek(max(bounds[-1], size * k // n))
             f.readline()
             bounds.append(f.tell())
     bounds.append(size)
@@ -241,42 +223,37 @@ def _parse_range(path, job):
     """Parse the rows in bytes [start, end) of the file at `path`, where
     `start` is 0 or follows a newline, write their times, then their
     values, to the file `out`, and return their count. The range's leading
-    lines that `_skipped` skips are skipped, and numpy parses exactly the
-    lines after them. numpy is told where they begin by their line number
-    and where they end by their count of commas, one per row; a line it
-    skips (an empty one) has none, and one with more or fewer fails.
+    lines that `_skipped` skips are dropped, and numpy parses a copy of the
+    rest, in `out`, to its end: any line it cannot parse, the range's last
+    included, makes it fail.
 
     Returns None where the per-line reader must decide instead: a line
     numpy rejects, one `_skipped` cannot read, or a lone carriage return
-    (`_lone_cr`) anywhere up to `end`, which numpy would count as a line
-    end. A CRLF is one line end to both, and numpy parses it."""
+    (`_lone_cr`) in the range, which numpy would take for a line end and
+    the leading-line split on newlines would not. A CRLF is one line end
+    to both, and numpy parses it."""
     start, end, out = job
     try:
         with open(path, "rb") as f:
-            line_no = rows = 0
-            for block in _blocks(f, start):
-                if _lone_cr(block):
-                    return None
-                line_no += block.count(b"\n")
-            while f.tell() < end:
-                line = f.readline()
-                if _lone_cr(line):
-                    return None
-                if not _skipped(line.decode("utf-8", "surrogateescape").strip()):
-                    rows = line.count(b",")
-                    break
-                line_no += 1
-            for block in _blocks(f, end):
-                if _lone_cr(block):
-                    return None
-                rows += block.count(b",")
-        parsed = _loadtxt(path, skiprows=line_no, max_rows=rows) if rows else np.empty(0, _ROW)
-        if len(parsed) != rows:
+            f.seek(start)
+            data = f.read(end - start)
+        if _lone_cr(data):
             return None
+        at = 0
+        while at < len(data):
+            stop = data.find(b"\n", at) + 1 or len(data)
+            if not _skipped(data[at:stop].decode("utf-8", "surrogateescape").strip()):
+                break
+            at = stop
+        with open(out, "wb") as f:
+            f.write(memoryview(data)[at:])
+        empty = at == len(data)
+        del data  # freed while numpy parses the copy
+        parsed = np.empty(0, _ROW) if empty else _loadtxt(out)
         with open(out, "wb") as f:
             for name in ("t", "v"):
                 f.write(np.ascontiguousarray(parsed[name]))  # tofile writes a strided view slowly
-        return rows
+        return len(parsed)
     except (ValueError, OverflowError, DeprecationWarning, OSError):
         return None
 

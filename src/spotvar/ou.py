@@ -55,7 +55,7 @@ class TransitionParams:
 
 
 def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
-    params.validate()
+    """The law of one step of `dt`; `params` must have passed `validate`."""
     omega = math.exp(-params.alpha * dt)
     cond_var = params.sigma**2 * (1 - omega**2) / (2 * params.alpha)
     return TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))

@@ -341,9 +341,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_blank_line_prints_nothing(self, tmp_path, capfd, small_splits, workers):
-        """numpy warns that a blank line does not count towards a range's
-        `max_rows`. Blank lines are skipped by design: nothing reaches
-        stderr, in this process or a worker, and the rows are the same."""
+        """A blank line inside a leg is skipped, in one range or in many:
+        nothing reaches stderr, in this process or a worker, and the rows
+        are the same."""
         legs = {}
         for leg, path in SAMPLE_LEGS.items():
             lines = path.read_bytes().splitlines(keepends=True)

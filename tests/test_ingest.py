@@ -272,6 +272,8 @@ class TestFastReaderMatchesPerLine:
         return tmp_path_factory.mktemp("differential") / "input.csv"
 
     @given(text=_CSV_TEXT)
+    @example(text="0,nan\nabc\n")  # a line without a comma after the last row
+    @example(text="60000,1.5\n12345\n")
     @settings(max_examples=500, deadline=None)
     def test_same_outcome(self, scratch, text):
         scratch.write_bytes(text.encode("utf-8"))
@@ -303,11 +305,11 @@ class TestFastReaderMatchesPerLine:
     def test_loadtxt_deprecation_falls_back(self, monkeypatch, tmp_path, text):
         """numpy before 2.0 reads an integer field through a float and only
         warns; that warning hands the file to the per-line reader."""
-        def loose_loadtxt(path, dtype, skiprows=0, max_rows=None, **kwargs):
+        def loose_loadtxt(path, dtype, **kwargs):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning, stacklevel=2)
             with open(path) as f:
-                lines = f.read().splitlines()[skiprows:][:max_rows]
+                lines = f.read().splitlines()
             rows = [tuple(map(float, line.split(","))) for line in lines]
             with np.errstate(invalid="ignore"):  # a time beyond int64 wraps silently
                 return np.array(rows, dtype=[("t", np.float64), ("v", np.float64)]).astype(dtype)
@@ -354,7 +356,6 @@ _RANGE_FILE = st.fixed_dictionaries({
     "not_utf8_at": _rarely(st.none(), st.floats(0.5, 1.0)),  # a share of the file
     "name": _rarely(st.just("input.csv"), st.just("input.csv.gz")),
     "workers": st.sampled_from([2, 3, 5]),
-    "block": _rarely(st.just(ingest._BLOCK), st.integers(1, 8)),  # bytes read at a time
 })
 
 
@@ -363,13 +364,13 @@ def _rows(n):
     return [f"{60_000 * k},{k / 7!r}" for k in range(n)]
 
 
-def _spec(lines, end="\n", workers=3, block=ingest._BLOCK):
+def _spec(lines, end="\n", workers=3):
     return {"lines": lines, "end": end, "trailing_newline": True, "not_utf8_at": None,
-            "name": "input.csv", "workers": workers, "block": block}
+            "name": "input.csv", "workers": workers}
 
 
 # a row, a lone carriage return and a row on the line at index 20 of 40, inside
-# the second of three ranges: the third range counts one line fewer than numpy
+# the second of three ranges, which `_lone_cr` hands to the per-line reader
 _LONE_CR_IN_RANGE = _rows(40)
 _LONE_CR_IN_RANGE[20] = "1200000,1.5\r1200001,2.5"
 
@@ -406,17 +407,14 @@ class TestRangeReader:
     @given(spec=_RANGE_FILE)
     @example(spec=_spec(_LONE_CR_IN_RANGE))
     @example(spec=_spec(_rows(40), end="\r\n"))
-    @example(spec=_spec(_rows(40), end="\r\n", block=1))  # every CRLF split by a block end
     @settings(max_examples=300, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     def test_same_outcome_as_the_serial_reader(self, pool, scratch, spec):
-        """Also in one range, in this process, where `_BLOCK` is patched:
-        the pool's workers were forked with the real one."""
+        """Also in one range, in this process."""
         path = _range_file(scratch, spec)
         split = Pool(pool.executor, spec["workers"])  # one range per worker
         serial = _per_line_outcome(path)
-        with mock.patch.object(ingest, "_BLOCK", spec["block"]):
-            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)), serial)
+        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)), serial)
         with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
             _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
         ranges = ingest._read_ranges(str(path), split)
@@ -424,9 +422,9 @@ class TestRangeReader:
             _assert_same_outcome(ranges, serial)
 
     def test_ranges_skip_blank_lines_without_reading_the_next_range(self, pool, tmp_path):
-        """Every range holds a blank line: numpy skips it without counting
-        it as a row, so a range that counted newlines would read a row of
-        the next range twice."""
+        """Every range holds a blank line, which numpy skips: each range
+        returns its own rows, none of the next range's, and the file has
+        no trailing newline."""
         rows = [f"{60_000 * k},{k / 7!r}" for k in range(300)]
         lines = ["# leading comment", "open_time_ms,close"]
         for k, row in enumerate(rows):
@@ -439,6 +437,18 @@ class TestRangeReader:
             ranges = ingest._read_ranges(str(path), Pool(pool.executor, workers))
             assert ranges is not None
             _assert_same_outcome(ranges, serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_line_without_a_comma_fails_wherever_it_is(self, pool, tmp_path, workers):
+        """`abc` at every place in a file of 40 rows, read in byte ranges
+        however they fall: the last line of a range and of the file too."""
+        rows, split = _rows(40), Pool(pool.executor, workers)
+        path = tmp_path / "abc.csv"
+        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
+            for k in range(len(rows) + 1):
+                path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
+                read = _outcome(lambda: ingest.read_series_csv(path, split))
+                _assert_same_outcome(read, (MalformedRow, k + 1))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"x", b"\r"])
     def test_a_failed_range_hands_the_file_to_the_serial_reader(self, pool, tmp_path, bad):
@@ -456,9 +466,10 @@ class TestRangeReader:
                                            ("open_time_ms,close\r\n", "\r\n")])
     def test_a_carriage_return_hands_the_file_to_the_serial_reader(self, pool, tmp_path,
                                                                     head, end):
-        """Python and numpy end a line at a lone carriage return, a byte
-        range's newline count does not: the per-line reader reads the file.
-        A CRLF is one line end to all three, so the ranges parse the file."""
+        """Python and numpy end a line at a lone carriage return, the split
+        of a range's leading lines on newlines does not: the per-line reader
+        reads the file. A CRLF is one line end to all three, so the ranges
+        parse the file."""
         path = tmp_path / "cr.csv"
         path.write_bytes((head + "".join(f"{60_000 * k},1.5{end}" for k in range(2, 300))).encode())
         serial = _per_line_outcome(path)
