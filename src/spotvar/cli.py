@@ -272,7 +272,7 @@ _dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
 _workers_option = click.option(
     "--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=usable_cores,
     show_default="the usable cores",
-    help="processes that parse large inputs, write variation.csv and run the Monte Carlo; "
+    help="processes that parse inputs, write variation.csv and run the Monte Carlo; "
          "1 forks none",
 )
 

@@ -8,7 +8,6 @@ never interpolated.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import os
@@ -36,12 +35,8 @@ MINUTE_MS = 60_000
 BINANCE_KLINES_URL = "https://api.binance.com/api/v3/klines"
 PAGE_LIMIT = 1000
 
-# with a pool, a plain-path file larger than this is parsed in byte ranges
-_SPLIT_BYTES = 4 << 20
 # rows formatted per job of the CSV writer
 _WRITE_ROWS = 1 << 16
-# names that numpy's loadtxt decompresses (numpy.lib._datasource)
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 
 
@@ -77,53 +72,28 @@ class PriceSeries:
     def __len__(self):
         return len(self.times)
 
-    def to_csv(self, path_or_buf):
-        """Write the normalized `open_time_ms,close` CSV."""
-        write_series_csv(path_or_buf, "open_time_ms,close", self.times, self.closes)
+    def to_csv(self, path):
+        """Write the normalized `open_time_ms,close` CSV to the file at `path`."""
+        write_series_csv(path, "open_time_ms,close", self.times, self.closes)
 
     @classmethod
-    def from_csv(cls, path_or_buf, symbol="", pool=None):
-        """Read a normalized `open_time_ms,close` CSV (comment lines allowed)."""
-        return cls(symbol, *read_series_csv(path_or_buf, pool))
+    def from_csv(cls, path, symbol="", pool=None):
+        """Read the file at `path`, a normalized `open_time_ms,close` CSV
+        (comment lines allowed), in byte ranges on `pool` if given."""
+        return cls(symbol, *read_series_csv(path, pool))
 
 
-def _is_path(path_or_buf):
-    return isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-
-
-def _open(path_or_buf, mode):
-    """A path opened as UTF-8 text, where bytes that are not UTF-8 read as
-    lone surrogates; a text buffer as it is, left open."""
-    if _is_path(path_or_buf):
-        return open(path_or_buf, mode, newline="", encoding="utf-8", errors="surrogateescape")
-    return contextlib.nullcontext(path_or_buf)
-
-
-def _plain_path(path_or_buf):
-    """`path_or_buf` as an absolute path, which numpy never takes for a URL,
-    or None for a buffer or a name numpy would decompress."""
-    if not _is_path(path_or_buf):
-        return None
-    path = os.path.abspath(os.fsdecode(path_or_buf))
-    return None if path.endswith(_COMPRESSED) else path
-
-
-def write_series_csv(path_or_buf, header, times, values, header_comment=None, pool=None):
-    """Write `header`, then one `time,value` row per point, to a path or a
-    text buffer. Each row is the bytes of `f"{t},{v!r}\\n"`, and repr
-    round-trips float64 exactly. Rows are formatted as ASCII bytes by
+def write_series_csv(path, header, times, values, header_comment=None, pool=None):
+    """Write `header`, then one `time,value` row per point, to the file at
+    `path`. Each row is the bytes of `f"{t},{v!r}\\n"`, and repr round-trips
+    float64 exactly. Rows are formatted as ASCII bytes by
     `csvrows.format_rows`, in chunks of `_WRITE_ROWS`, on `pool` when
-    given, and written in order: to a path in binary mode, to a text
-    buffer decoded."""
+    given, and written in order."""
     chunks = ((times[i:i + _WRITE_ROWS], values[i:i + _WRITE_ROWS])
               for i in range(0, len(times), _WRITE_ROWS))
     head = (f"# {header_comment}\n" if header_comment else "") + header + "\n"
     rows = pool_map(pool, _format_rows, chunks)
-    if not _is_path(path_or_buf):
-        path_or_buf.write(head)
-        path_or_buf.writelines(chunk.decode("ascii") for chunk in rows)
-        return
-    with open(path_or_buf, "wb") as f:
+    with open(path, "wb") as f:
         f.write(head.encode("utf-8", "surrogateescape"))
         f.writelines(rows)
 
@@ -132,29 +102,27 @@ def _format_rows(chunk):
     return format_rows(*chunk)
 
 
-def read_series_csv(path_or_buf, pool=None):
-    """Read a two-column `time,value` CSV into C-contiguous int64 times and
-    float64 values. Blank lines, `#` comments and an `open_time_ms` header
-    are skipped. A line that is not UTF-8 or not two numbers raises
-    MalformedRow; a time outside the int64 range raises InvalidValue.
+def read_series_csv(path, pool=None):
+    """Read the file at `path`, a two-column `time,value` CSV, into
+    C-contiguous int64 times and float64 values. Blank lines, `#` comments
+    and an `open_time_ms` header are skipped. A line that is not UTF-8 or
+    not two numbers raises MalformedRow; a time outside the int64 range
+    raises InvalidValue.
 
-    numpy's C parser reads a plain path in byte ranges (`_read_ranges`):
-    one per worker of `pool` when the file is above `_SPLIT_BYTES`, else
-    one range, here. Each range is parsed from its own bytes to its end,
-    so every line reaches numpy, whatever the worker count. With its
-    deprecation warnings raised as errors numpy accepts no input the
-    per-line reader rejects: numpy before 2.0 reads an integer field such
-    as `1.0`, `1e3` or one beyond int64 through a float and only warns. If
-    any range fails, and for a text buffer or a name numpy would
-    decompress, the per-line reader reads the whole input and decides:
-    what it accepts, and the error and line number it reports."""
-    path = _plain_path(path_or_buf)
-    if path:
-        split = pool is not None and os.path.getsize(path) > _SPLIT_BYTES
-        rows = _read_ranges(path, pool if split else None)
-        if rows is not None:
-            return rows
-    with _open(path_or_buf, "r") as f:
+    numpy's C parser reads the file in byte ranges (`_read_ranges`), one
+    per worker of `pool`, or one here without a pool. Each range is parsed
+    from its own bytes to its end, so every line reaches numpy, whatever
+    the worker count. With its deprecation warnings raised as errors numpy
+    accepts no input the per-line reader rejects: numpy before 2.0 reads
+    an integer field such as `1.0`, `1e3` or one beyond int64 through a
+    float and only warns. If any range fails, or the file's size reads 0,
+    as a pipe's does, the per-line reader reads the file once, start to
+    end, and decides: what it accepts, and the error and line number it
+    reports."""
+    rows = _read_ranges(path, pool) if os.path.getsize(path) else None
+    if rows is not None:
+        return rows
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
         times, values = _read_rows(f)
     return int64_times(times), np.asarray(values, dtype=np.float64)
 
@@ -183,10 +151,10 @@ def _lone_cr(data):
 
 
 def _read_ranges(path, pool=None):
-    """The rows of the file at `path`, parsed in one byte range per worker of
-    `pool`, or without a pool in one range, `[0, size)`, here; None if any
-    range fails. The file is split at equal shares of its size, each split
-    moved to just after the next newline.
+    """The rows of the seekable file at `path`, parsed in one byte range per
+    worker of `pool`, or without a pool in one range, `[0, size)`, here;
+    None if any range fails. The file is split at equal shares of its size,
+    each split moved to just after the next newline.
 
     Each range writes its times, then its values, to a file in a temporary
     directory, and this process reads them straight into the two columns.
@@ -306,7 +274,7 @@ def _warn_gaps(symbol, times):
 
 
 def parse_klines(raw, symbol):
-    """Parse a Binance kline CSV byte/text stream into a PriceSeries.
+    """Parse `raw`, the bytes of a Binance kline CSV, into a PriceSeries.
 
     Rows have >= 7 comma-separated fields in Binance archive order
     (open_time, open, high, low, close, volume, close_time, ...). Prices
@@ -314,16 +282,13 @@ def parse_klines(raw, symbol):
     must follow open_time. Rows are sorted by open_time; duplicate
     timestamps are rejected.
     """
-    if hasattr(raw, "read"):
-        raw = raw.read()
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
 
     rows = []
-    reader = csv.reader(io.StringIO(raw))
+    reader = csv.reader(io.StringIO(text))
     try:
         for fields in reader:
             if not fields or (len(fields) == 1 and not fields[0].strip()):
@@ -359,7 +324,7 @@ def read_leg(path, symbol, pool=None):
     blank nor a `#` comment decides the format: seven or more
     comma-separated fields mean a Binance kline CSV (`parse_klines`),
     anything else a normalized `open_time_ms,close` CSV, which a `pool`
-    parses in byte ranges when it is large (`read_series_csv`)."""
+    parses in byte ranges (`read_series_csv`)."""
     with open(path, "rb") as f:
         first = next((s for s in map(bytes.strip, f) if s and not s.startswith(b"#")), b"")
         if first.count(b",") < 6:

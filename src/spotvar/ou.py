@@ -127,14 +127,10 @@ def log_likelihood(params: OUParams, series, dt=1.0):
     if len(v) < 2:
         raise SeriesTooShort("need >= 2 observations")
     tp = transition_params(params, dt)
-    return _log_likelihood_trans(params.mu, tp.omega, tp.cond_sd, v)
-
-
-def _log_likelihood_trans(mu, omega, cond_sd, v):
     n = len(v) - 1
-    resid = v[1:] - mu - (v[:-1] - mu) * omega
+    resid = v[1:] - params.mu - (v[:-1] - params.mu) * tp.omega
     ss = _dot(resid, resid)
-    return -0.5 * n * math.log(2 * math.pi) - n * math.log(cond_sd) - ss / (2 * cond_sd**2)
+    return -0.5 * n * math.log(2 * math.pi) - n * math.log(tp.cond_sd) - ss / (2 * tp.cond_sd**2)
 
 
 def mle_fit(series, dt=1.0):

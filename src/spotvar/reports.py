@@ -38,7 +38,6 @@ class TableWriter:
 
     def to_text(self):
         lines = [self.title]
-        widths = None
         rendered = [self.columns] + [
             [self._cell(v, fmt_display) for v in row] for row in self.rows
         ]

@@ -51,17 +51,18 @@ class VariationSeries:
     def __len__(self):
         return len(self.times)
 
-    def to_csv(self, path_or_buf, header_comment=None, pool=None):
-        """Write the `open_time_ms,variation` CSV, after an optional
-        `# header_comment` line; rows are formatted on `pool` if given."""
-        write_series_csv(path_or_buf, "open_time_ms,variation", self.times, self.values,
+    def to_csv(self, path, header_comment=None, pool=None):
+        """Write the `open_time_ms,variation` CSV to the file at `path`, after
+        an optional `# header_comment` line; rows are formatted on `pool` if
+        given."""
+        write_series_csv(path, "open_time_ms,variation", self.times, self.values,
                          header_comment, pool)
 
     @classmethod
-    def from_csv(cls, path_or_buf, pool=None):
-        """Read an `open_time_ms,variation` CSV (comment lines allowed); a
-        large file is parsed on `pool` if given."""
-        return cls(*read_series_csv(path_or_buf, pool))
+    def from_csv(cls, path, pool=None):
+        """Read the file at `path`, an `open_time_ms,variation` CSV (comment
+        lines allowed), in byte ranges on `pool` if given."""
+        return cls(*read_series_csv(path, pool))
 
 
 def align(spot: PriceSeries, num: PriceSeries, den: PriceSeries) -> AlignedTriple:

@@ -1,6 +1,8 @@
+import gzip
 import hashlib
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -20,7 +22,7 @@ DATA = Path(__file__).parent / "data"
 T0 = 1_504_224_000_000
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, timeout=None):
     """Run ``python -m spotvar.cli`` in a child process.
 
     The child imports the same ``spotvar`` as this process (see
@@ -33,6 +35,7 @@ def run_cli(*args, env=None, cwd=None):
         text=True,
         env=child_env(env),
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -298,12 +301,12 @@ class TestReportCommand:
 
 class TestWorkers:
     """`--workers` changes how the work is split, never what is written or
-    reported. Run in process with the split sizes patched low, so that even
-    the sample legs are parsed in byte ranges and written in chunks."""
+    reported. A pool parses every leg in byte ranges; run in process with
+    the write chunk patched small, so that even the sample legs are written
+    in chunks."""
 
     @pytest.fixture
     def small_splits(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(ingest, "_WRITE_ROWS", 100)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -322,22 +325,25 @@ class TestWorkers:
 
     def test_malformed_leg_gives_the_same_error_at_any_worker_count(self, tmp_path, capsys,
                                                                     small_splits):
-        legs = {}
-        for leg, path in SAMPLE_LEGS.items():
-            legs[leg] = tmp_path / f"{leg}.csv"
-            legs[leg].write_bytes(path.read_bytes())
-        lines = legs["num"].read_bytes().splitlines(keepends=True)
+        """A byte that is not UTF-8 in the last byte range, and a gzip file
+        under a `.gz` name, which is read as it is, not decompressed."""
+        num = SAMPLE_LEGS["num"].read_bytes()
+        lines = num.splitlines(keepends=True)
         lines[800] = lines[800].replace(b",", b"\xff,")  # in the last byte range
-        legs["num"].write_bytes(b"".join(lines))
-        errs = []
-        for workers in (1, 2):
-            argv = ["report", *_leg_args(legs), "--skip-mc", "--workers", str(workers),
-                    "--out-dir", str(tmp_path / f"w{workers}")]
-            assert cli_entry(argv) == 3
-            errs.append(capsys.readouterr().err)
-            assert not multiprocessing.active_children()
-        assert errs[0] == errs[1]
-        assert errs[0].startswith("error at stage 'load': malformed kline row at line 801:")
+        bad = {"num.csv": (b"".join(lines), 801), "num.csv.gz": (gzip.compress(num, mtime=0), 1)}
+        for name, (data, line_no) in bad.items():
+            legs = dict(SAMPLE_LEGS, num=tmp_path / name)
+            legs["num"].write_bytes(data)
+            errs = []
+            for workers in (1, 2):
+                argv = ["report", *_leg_args(legs), "--skip-mc", "--workers", str(workers),
+                        "--out-dir", str(tmp_path / f"w{workers}")]
+                assert cli_entry(argv) == 3
+                errs.append(capsys.readouterr().err)
+                assert not multiprocessing.active_children()
+            assert errs[0] == errs[1]
+            assert errs[0].startswith(
+                f"error at stage 'load': malformed kline row at line {line_no}:"), errs[0]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_blank_line_prints_nothing(self, tmp_path, capfd, small_splits, workers):
@@ -354,6 +360,35 @@ class TestWorkers:
                           "--out", str(out)]) == 0
         assert capfd.readouterr().err == ""
         assert out.read_bytes() == _variation_bytes(SAMPLE_LEGS, tmp_path / "plain.csv")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pipe_is_read_once(self, tmp_path, variation_csv, workers):
+        """A FIFO's size reads 0 and it cannot be seeked: with a pool or
+        without, the per-line reader reads it once, start to end, and writes
+        the Table 6 of the file. A child process, so a second open of the
+        FIFO, which would wait for a writer that never comes, times out."""
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as f:
+                    f.write(variation_csv.read_bytes())
+            except BrokenPipeError:  # the reader closed the FIFO early
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        argv = ["ci", "--replications", "20", "--path-length", "300", "--seed", "1",
+                "--workers", str(workers)]
+        piped = run_cli(*argv, "--input", fifo, "--out-dir", tmp_path / "piped", timeout=60)
+        assert piped.returncode == 0, piped.stderr
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        from_file = run_cli(*argv, "--input", variation_csv, "--out-dir", tmp_path / "file")
+        assert from_file.returncode == 0, from_file.stderr
+        assert piped.stdout == from_file.stdout
+        assert bundle_digest(tmp_path / "piped") == bundle_digest(tmp_path / "file")  # Table 6
 
     @pytest.mark.parametrize("argv", [
         ["--version"],

@@ -4,7 +4,6 @@ import multiprocessing
 import pickle
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,7 +56,7 @@ class TestParseKlines:
 
     def test_unsorted_rows_are_sorted(self):
         rows = DATA.joinpath("klines_10rows.csv").read_text().splitlines()
-        shuffled = "\n".join(rows[::-1])
+        shuffled = "\n".join(rows[::-1]).encode()
         series = parse_klines(shuffled, "BTCUSDT")
         assert series.closes.tolist() == FIXTURE_CLOSES
 
@@ -90,13 +89,17 @@ class TestParseKlines:
 
     def test_gap_warned_not_filled(self):
         rows = DATA.joinpath("klines_10rows.csv").read_text().splitlines()
-        with_gap = "\n".join(rows[:3] + rows[4:])
+        with_gap = "\n".join(rows[:3] + rows[4:]).encode()
         with pytest.warns(GapWarning, match=str(1504224000000 + 3 * MINUTE_MS)):
             series = parse_klines(with_gap, "BTCUSDT")
         assert len(series) == 9  # gap preserved, nothing interpolated
 
 
 class TestSerializationRoundTrip:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("round_trip") / "series.csv"
+
     @given(
         st.lists(
             st.tuples(
@@ -109,24 +112,21 @@ class TestSerializationRoundTrip:
         )
     )
     @settings(max_examples=100)
-    def test_parse_serialize_identity(self, points):
+    def test_parse_serialize_identity(self, scratch, points):
         points.sort()
         times = 1504224000000 + MINUTE_MS * np.array([p[0] for p in points], dtype=np.int64)
         closes = np.array([p[1] for p in points])
         series = PriceSeries("X", times, closes)
-        buf = io.StringIO()
-        series.to_csv(buf)
-        buf.seek(0)
-        back = PriceSeries.from_csv(buf, "X")
+        series.to_csv(scratch)
+        back = PriceSeries.from_csv(scratch, "X")
         assert np.array_equal(back.times, series.times)
         assert np.array_equal(back.closes, series.closes)
 
-    def test_sample_legs_round_trip_byte_for_byte(self):
+    def test_sample_legs_round_trip_byte_for_byte(self, tmp_path):
         for leg in ("spot", "num", "den"):
             path = DATA / "sample_legs" / f"{leg}.csv"
-            buf = io.StringIO()
-            PriceSeries.from_csv(path, leg).to_csv(buf)
-            assert buf.getvalue() == path.read_text()
+            PriceSeries.from_csv(path, leg).to_csv(tmp_path / leg)
+            assert (tmp_path / leg).read_bytes() == path.read_bytes()
 
     def test_minute_grid_property(self):
         series = parse_klines(DATA.joinpath("klines_10rows.csv").read_bytes(), "B")
@@ -257,11 +257,6 @@ def _assert_same_outcome(fast, per_line):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))  # bit-equal
 
 
-class _Unseekable(io.StringIO):
-    def seekable(self):
-        return False
-
-
 class TestFastReaderMatchesPerLine:
     """`read_series_csv` parses with numpy; whatever the text, it returns
     what the per-line reader returns, bit for bit, or raises the same error
@@ -322,20 +317,6 @@ class TestFastReaderMatchesPerLine:
         assert _outcome(lambda: _per_line(io.StringIO(text))) == (
             type(exc.value), getattr(exc.value, "line_no", None))
 
-    def test_unseekable_buffer_reads_line_by_line(self):
-        text = "open_time_ms,close\n60000,1.5\n120000,2.5\n"
-        times, values = ingest.read_series_csv(_Unseekable(text))
-        assert times.tolist() == [60000, 120000]
-        assert values.tolist() == [1.5, 2.5]
-        with pytest.raises(MalformedRow) as exc:
-            ingest.read_series_csv(_Unseekable(text + "oops\n"))
-        assert exc.value.line_no == 4
-
-    def test_buffer_read_from_its_position(self):
-        buf = io.StringIO("junk\n60000,1.5\n")
-        buf.readline()
-        assert ingest.read_series_csv(buf)[0].tolist() == [60000]
-
 
 def _rarely(usual, odd):
     """`odd` one time in twenty, else `usual`: most examples then hold files
@@ -388,9 +369,9 @@ def _range_file(directory, spec):
 
 
 class TestRangeReader:
-    """With a pool, `read_series_csv` parses a large plain-path file in one
-    byte range per worker. Whatever the text, it returns what the serial
-    reader returns, bit for bit, or raises the same error at the same line."""
+    """With a pool, `read_series_csv` parses a file in one byte range per
+    worker. Whatever the text, it returns what the serial reader returns,
+    bit for bit, or raises the same error at the same line."""
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -415,8 +396,7 @@ class TestRangeReader:
         split = Pool(pool.executor, spec["workers"])  # one range per worker
         serial = _per_line_outcome(path)
         _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)), serial)
-        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
-            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
+        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
         ranges = ingest._read_ranges(str(path), split)
         if ranges is not None:  # the ranges alone parsed the file: serial must agree
             _assert_same_outcome(ranges, serial)
@@ -444,11 +424,10 @@ class TestRangeReader:
         however they fall: the last line of a range and of the file too."""
         rows, split = _rows(40), Pool(pool.executor, workers)
         path = tmp_path / "abc.csv"
-        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
-            for k in range(len(rows) + 1):
-                path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
-                read = _outcome(lambda: ingest.read_series_csv(path, split))
-                _assert_same_outcome(read, (MalformedRow, k + 1))
+        for k in range(len(rows) + 1):
+            path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
+            read = _outcome(lambda: ingest.read_series_csv(path, split))
+            _assert_same_outcome(read, (MalformedRow, k + 1))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"x", b"\r"])
     def test_a_failed_range_hands_the_file_to_the_serial_reader(self, pool, tmp_path, bad):
@@ -458,8 +437,7 @@ class TestRangeReader:
         path.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
         assert ingest._read_ranges(str(path), pool) is None
         serial = _outcome(lambda: ingest.read_series_csv(path))
-        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
-            assert _outcome(lambda: ingest.read_series_csv(path, pool)) == serial
+        assert _outcome(lambda: ingest.read_series_csv(path, pool)) == serial
         assert serial == (MalformedRow, 251)
 
     @pytest.mark.parametrize("head, end", [("# lone carriage return\r1,2.5\n", "\n"),
@@ -479,8 +457,7 @@ class TestRangeReader:
                 _assert_same_outcome(ranges, serial)
             else:
                 assert ranges is None
-        with mock.patch.object(ingest, "_SPLIT_BYTES", 0):
-            _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
+        _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -569,15 +546,15 @@ class TestWriteSeriesCsv:
         assert written[0] == b"# comment\nt,v\n" + fstring_rows(times, values)
         assert not multiprocessing.active_children()
 
-    def test_text_buffer_and_path_get_the_same_text(self, tmp_path):
+    def test_non_finite_and_signed_zero_rows(self, tmp_path):
         times = np.arange(6) * MINUTE_MS
         values = np.array([np.nan, np.inf, -0.0, 5e-324, -np.inf, 0.001431325758769031])
-        buf = io.StringIO()
-        ingest.write_series_csv(buf, "open_time_ms,variation", times, values, "hash=ab")
         path = tmp_path / "v.csv"
         ingest.write_series_csv(path, "open_time_ms,variation", times, values, "hash=ab")
-        assert buf.getvalue() == path.read_text()
-        assert buf.getvalue().splitlines()[2:5] == ["0,nan", "60000,inf", "120000,-0.0"]
+        assert path.read_text().splitlines() == [
+            "# hash=ab", "open_time_ms,variation", "0,nan", "60000,inf", "120000,-0.0",
+            "180000,5e-324", "240000,-inf", "300000,0.001431325758769031",
+        ]
 
 
 def _kline_row(open_time, close=100.0):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -156,15 +155,13 @@ class TestComputeVariation:
 
 
 class TestVariationSeriesCsv:
-    def test_round_trip_full_precision(self):
+    def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(9)
         var = VariationSeries(minute_grid(T0, 50), rng.normal(0, 1e-4, 50))
-        buf = io.StringIO()
-        var.to_csv(buf)
-        buf.seek(0)
-        header = buf.readline().strip()
+        path = tmp_path / "variation.csv"
+        var.to_csv(path)
+        header = path.read_text().splitlines()[0]
         assert header == "open_time_ms,variation"
-        buf.seek(0)
-        back = VariationSeries.from_csv(buf)
+        back = VariationSeries.from_csv(path)
         assert np.array_equal(back.times, var.times)
         assert np.array_equal(back.values, var.values)  # >= 17 sig digits
