@@ -61,41 +61,33 @@ def _integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# what each configuration value must be, checked before any input is read
-_VALUE_CHECKS = {
-    "inputs": ("an object of paths", lambda v: all(isinstance(p, str) for p in v.values())),
-    "dt": ("a number > 0", lambda v: _number(v) and v > 0),
-    "year_split.epoch_start_ms": ("an integer", _integer),
-    "year_split.n_years": ("an integer", _integer),
+# every run setting: its default, what it must be and the check, run on
+# the resolved value before any input is read; a manifest nests the dotted
+# keys in their section objects
+_SETTINGS = {
+    **{f"inputs.{leg}": (None, "a path", lambda v: v is None or isinstance(v, str))
+       for leg in LEGS},
+    "dt": (1.0, "a number > 0", lambda v: _number(v) and v > 0),
+    "year_split.epoch_start_ms": (DEFAULT_EPOCH_MS, "an integer", _integer),
+    "year_split.n_years": (4, "an integer", _integer),
     "percentile_probes": (
+        [0, 25, 50, 75, 100],
         "a list of numbers in [0, 100] holding 25 and 75 (Table 3's IQR)",
         lambda v: isinstance(v, list) and all(map(_number, v)) and valid_probes(v)
         and {25, 75} <= set(v),
     ),
-    "df_level": ("0.01, the one tabulated level", lambda v: v == 0.01),
-    "mc.replications": ("an integer", _integer),
-    "mc.path_length": ("an integer or null", lambda v: v is None or _integer(v)),
-    "mc.confidence": ("a number", _number),
-    "mc.master_seed": ("an integer", _integer),
-    "mc.initial_value": ("a number or null", lambda v: v is None or _number(v)),
-    "skip_mc": ("true or false", lambda v: isinstance(v, bool)),
+    "df_level": (0.01, "0.01, the one tabulated level", lambda v: v == 0.01),
+    "mc.replications": (1000, "an integer", _integer),
+    # null: the sample size
+    "mc.path_length": (None, "an integer or null", lambda v: v is None or _integer(v)),
+    "mc.confidence": (0.90, "a number", _number),
+    "mc.master_seed": (0, "an integer", _integer),
+    "mc.initial_value": (None, "a number or null", lambda v: v is None or _number(v)),
+    "skip_mc": (False, "true or false", lambda v: isinstance(v, bool)),
 }
-
-
-def _check_values(data):
-    """Raise UsageError naming the first configuration value that is not
-    what `_VALUE_CHECKS` requires, then run the range checks of the Monte
-    Carlo settings and the year split on the well-typed values."""
-    for key, (what, ok) in _VALUE_CHECKS.items():
-        section, _, leaf = key.rpartition(".")
-        value = data[section][leaf] if section else data[key]
-        if not ok(value):
-            raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
-    try:
-        _mc_config(data, McConfig.path_length)
-        check_n_years(data["year_split"]["n_years"])
-    except InvalidArgument as exc:
-        raise click.UsageError(str(exc)) from exc
+_SECTIONS = ("inputs", "year_split", "mc")
+# what `report` writes into manifest.json besides the settings; skipped on read
+_DERIVED = ("version", "input_hashes", "manifest_hash")
 
 
 def _mc_config(cfg, n):
@@ -128,22 +120,11 @@ class RunManifest:
 
     @classmethod
     def resolve(cls, manifest_file=None, overrides=None):
-        base = {
-            "inputs": {},
-            "dt": 1.0,
-            "year_split": {"epoch_start_ms": DEFAULT_EPOCH_MS, "n_years": 4},
-            "percentile_probes": [0, 25, 50, 75, 100],
-            "df_level": 0.01,
-            "mc": {
-                "replications": 1000,
-                "path_length": None,  # None -> full-sample n
-                "confidence": 0.90,
-                "master_seed": 0,
-                "initial_value": None,
-            },
-            "skip_mc": False,
-            "version": __version__,
-        }
+        """The `_SETTINGS` of a run: a flag of `overrides` that is not None
+        beats the manifest file, which beats the default. A key that is not
+        a setting is a usage error; the `_DERIVED` keys are skipped, so a
+        bundle's manifest.json resolves to the settings that wrote it."""
+        values = {key: default for key, (default, _, _) in _SETTINGS.items()}
         if manifest_file:
             try:
                 loaded = json.loads(Path(manifest_file).read_text(encoding="utf-8"))
@@ -152,41 +133,35 @@ class RunManifest:
             if not isinstance(loaded, dict):
                 raise click.UsageError(f"manifest {manifest_file} is not a JSON object")
             for key, value in loaded.items():
-                if not isinstance(base.get(key), dict):
-                    base[key] = value
-                elif isinstance(value, dict):
-                    base[key].update(value)
-                else:
-                    raise click.UsageError(
-                        f"manifest value '{key}' must be an object, got {value!r}"
-                    )
-        for key, value in (overrides or {}).items():
-            if value is None:
-                continue
-            node = base
-            *parents, leaf = key.split(".")
-            for p in parents:
-                node = node[p]
-            node[leaf] = value
-        _check_values(base)
-        return cls(base)
+                if key in _SECTIONS:
+                    if not isinstance(value, dict):
+                        raise click.UsageError(
+                            f"manifest value '{key}' must be an object, got {value!r}")
+                    values.update((f"{key}.{leaf}", v) for leaf, v in value.items())
+                elif key not in _DERIVED:
+                    values[key] = value
+        values.update((key, v) for key, v in (overrides or {}).items() if v is not None)
+        unknown = sorted(values.keys() - _SETTINGS.keys())
+        if unknown:
+            raise click.UsageError(f"unknown manifest keys: {', '.join(unknown)}")
+        data = {"version": __version__}
+        for key, (_, what, ok) in _SETTINGS.items():
+            value = values[key]
+            if not ok(value):
+                raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
+            section, _, leaf = key.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[leaf] = value
+        try:  # the range checks of the Monte Carlo settings and the year split
+            _mc_config(data, McConfig.path_length)
+            check_n_years(data["year_split"]["n_years"])
+        except InvalidArgument as exc:
+            raise click.UsageError(str(exc)) from exc
+        return cls(data)
 
     def with_input_hashes(self):
-        """Add the SHA-256 of every input; relative paths resolve against
-        the working directory. A leg without an input, or an input that is
-        not a file, is a usage error."""
-        inputs = self.data["inputs"]
-        for leg in sorted({*LEGS, *inputs}):
-            if not inputs.get(leg):
-                raise click.UsageError(f"missing input for leg '{leg}'")
-            if not Path(inputs[leg]).is_file():
-                raise click.UsageError(
-                    f"input for leg '{leg}' not found: {inputs[leg]} "
-                    f"(relative paths resolve against the working directory)"
-                )
-        hashes = {leg: _sha256_file(path) for leg, path in sorted(inputs.items())}
-        data = dict(self.data, input_hashes=hashes)
-        return RunManifest(data)
+        """Add the SHA-256 of every leg; `_check_legs` runs first."""
+        hashes = {leg: _sha256_file(self.data["inputs"][leg]) for leg in LEGS}
+        return RunManifest(dict(self.data, input_hashes=hashes))
 
     @property
     def hash(self):
@@ -214,6 +189,21 @@ def _run(stage, fn, *args, **kwargs):
 PriceSeriesLoader = read_leg
 
 
+def _check_legs(paths):
+    """A usage error unless every leg names a regular file. Run before the
+    pool forks and before any leg is opened: `read_leg` opens a leg twice,
+    and opening a FIFO waits for a writer."""
+    for leg in sorted(LEGS):
+        path = paths.get(leg)
+        if not path:
+            raise click.UsageError(f"missing input for leg '{leg}'")
+        if not Path(path).exists():
+            raise click.UsageError(f"input for leg '{leg}' not found: {path} "
+                                   f"(relative paths resolve against the working directory)")
+        if not Path(path).is_file():
+            raise click.UsageError(f"input for leg '{leg}' is not a regular file: {path}")
+
+
 def _load_legs(paths, pool=None):
     """Load the legs, align them, take the variation. Returns the variation
     and the rows each leg lost to the alignment."""
@@ -222,7 +212,7 @@ def _load_legs(paths, pool=None):
     return _run("variation", compute_variation, triple), triple.dropped
 
 
-def _tables(var, cfg, out, tables, mhash="", pool=None, verbose=True):
+def _tables(var, cfg, out, tables, mhash="", pool=None):
     """Write the `tables` subset of TABLES for `var` into `out`, under the
     resolved config `cfg`. Returns the DF results, fitted parameters and
     intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"."""
@@ -242,7 +232,7 @@ def _tables(var, cfg, out, tables, mhash="", pool=None, verbose=True):
         reports.yearwise_iqr_table(year_iqrs, mhash).write(out)
     if "df" in tables:
         done["df"] = [_run("dftest", df_test, var, m) for m in DFModel]
-        reports.df_table(done["df"], mhash, verbose).write(out)
+        reports.df_table(done["df"], mhash).write(out)
     if "fit" in tables or "ci" in tables:
         params, trans, stats = done["fit"] = _run("fit", mle_fit, var, dt)
     if "fit" in tables:
@@ -255,11 +245,11 @@ def _tables(var, cfg, out, tables, mhash="", pool=None, verbose=True):
     return done
 
 
-def _slice(input_path, out_dir, tables, overrides=None, workers=1, **kw):
+def _slice(input_path, out_dir, tables, overrides=None, workers=1):
     cfg = RunManifest.resolve(None, overrides).data
     with fork_pool(workers) as pool:
         var = _run("load", VariationSeries.from_csv, input_path, pool)
-        return _tables(var, cfg, Path(out_dir), tables, pool=pool, **kw)
+        return _tables(var, cfg, Path(out_dir), tables, pool=pool)
 
 
 def _out_dir_option(default="."):
@@ -307,8 +297,10 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 @_workers_option
 def variation_cmd(spot, num, den, out, workers):
     """Align the three legs (normalized or Binance kline CSVs), write the variation series."""
+    legs = {"spot": spot, "num": num, "den": den}
+    _check_legs(legs)
     with fork_pool(workers) as pool:
-        var, dropped = _load_legs({"spot": spot, "num": num, "den": den}, pool)
+        var, dropped = _load_legs(legs, pool)
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         var.to_csv(out, pool=pool)
     click.echo(f"{len(var)} aligned minutes -> {out} (dropped: {dropped})")
@@ -329,10 +321,9 @@ def summarize(input_path, epoch_start, years, out_dir):
 @main.command()
 @_input_option
 @_out_dir_option()
-@click.option("--verbose/--brief", default=True)
-def dftest(input_path, out_dir, verbose):
+def dftest(input_path, out_dir):
     """Run the three Dickey-Fuller models at the 1% level."""
-    for r in _slice(input_path, out_dir, ("df",), verbose=verbose)["df"]:
+    for r in _slice(input_path, out_dir, ("df",))["df"]:
         decision = "Rejected" if r.reject_null else "Not rejected"
         click.echo(f"Model ({r.variant.value}): {decision} (tau={r.tau:.4f})")
 
@@ -414,6 +405,7 @@ def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
         "skip_mc": skip_mc,
     }
     manifest = RunManifest.resolve(manifest_file, overrides)
+    _check_legs(manifest.data["inputs"])
     with fork_pool(workers) as pool:  # before any input is read
         manifest = manifest.with_input_hashes()
         mhash = manifest.hash

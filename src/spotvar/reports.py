@@ -119,7 +119,7 @@ def yearwise_iqr_table(year_iqrs, manifest_hash=""):
     )
 
 
-def df_table(results, manifest_hash="", verbose=True):
+def df_table(results, manifest_hash=""):
     columns = ("model", "decision", "tau", "critical_value_1pct", "delta_hat", "n")
     rows = [
         (
@@ -132,8 +132,6 @@ def df_table(results, manifest_hash="", verbose=True):
         )
         for r in results
     ]
-    if not verbose:  # model and decision only
-        columns, rows = columns[:2], [row[:2] for row in rows]
     return TableWriter(
         "table4_dickey_fuller",
         "Dickey-Fuller test results (1% level)",

@@ -298,6 +298,19 @@ class TestReportCommand:
         for name in golden_files:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
+    def test_a_bundle_manifest_reruns_to_the_same_bundle(self, tmp_path):
+        """The keys `report` adds to manifest.json (version, input hashes,
+        manifest hash) are skipped on read, so feeding it back in resolves
+        to the same settings, the same hash and the same bytes."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        for manifest, out in (("golden_manifest.json", first), (first / "manifest.json", again)):
+            result = run_cli("report", "--manifest", manifest, "--out-dir", out, cwd=DATA)
+            assert result.returncode == 0, result.stderr
+        assert bundle_digest(again) == bundle_digest(first)
+        hashes = [json.loads((out / "manifest.json").read_text())["manifest_hash"]
+                  for out in (first, again)]
+        assert hashes[0] == hashes[1]
+
 
 class TestWorkers:
     """`--workers` changes how the work is split, never what is written or
@@ -343,7 +356,7 @@ class TestWorkers:
                 assert not multiprocessing.active_children()
             assert errs[0] == errs[1]
             assert errs[0].startswith(
-                f"error at stage 'load': malformed kline row at line {line_no}:"), errs[0]
+                f"error at stage 'load': malformed row at line {line_no}:"), errs[0]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_blank_line_prints_nothing(self, tmp_path, capfd, small_splits, workers):
@@ -525,6 +538,9 @@ class TestExitCodes:
         ("report --manifest NO_YEARS", 2),
         ("report --manifest INFINITE_INITIAL_VALUE", 2),
         ("report --manifest SAMPLE --path-length 2", 2),
+        ("report --manifest UNKNOWN_KEY", 2),
+        ("report --manifest UNKNOWN_MC_KEY", 2),
+        ("report --manifest UNKNOWN_INPUT_KEY", 2),
         ("report --manifest SAMPLE --workers 0", 2),
         ("ci --input VAR --workers 0", 2),
         (f"{FETCH} --backoff -1 --max-retries 1", 2),
@@ -552,6 +568,10 @@ class TestExitCodes:
             ("INFINITE_INITIAL_VALUE",
              json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"initial_value": float("inf")}})),
             ("SAMPLE", json.dumps({"inputs": SAMPLE_INPUTS})),
+            ("UNKNOWN_KEY", json.dumps({"inputs": SAMPLE_INPUTS, "foo": 1})),
+            ("UNKNOWN_MC_KEY", json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"replicatons": 5}})),
+            ("UNKNOWN_INPUT_KEY",
+             json.dumps({"inputs": dict(SAMPLE_INPUTS, extra=SAMPLE_INPUTS["spot"])})),
             ("EXACT_FIT", EXACT_FIT),
         ):
             files[name] = tmp_path / name
@@ -600,6 +620,27 @@ class TestExitCodes:
     def test_out_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys, command):
         assert cli_entry([*command, "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["variation", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], id="variation"),
+        pytest.param(["report", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], id="report-flag"),
+        pytest.param(["report", "--manifest", "MANIFEST"], id="report-manifest"),
+    ])
+    def test_a_leg_that_is_not_a_regular_file_is_a_usage_error(self, tmp_path, argv):
+        """A FIFO with no writer: opening it would wait forever, so it is
+        refused before any leg is opened, in a child that a hang times out."""
+        fifo = tmp_path / "num.fifo"
+        os.mkfifo(fifo)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"inputs": dict(SAMPLE_INPUTS, num=str(fifo))}))
+        out = "--out" if argv[0] == "variation" else "--out-dir"
+        args = [{"FIFO": fifo, "MANIFEST": manifest}.get(a, a) for a in argv]
+        result = run_cli(*args, out, tmp_path / "out", timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"usage error: input for leg 'num' is not a regular file: {fifo}"]
+        assert result.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", DIR_INPUTS)
     def test_input_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys, argv):

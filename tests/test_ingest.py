@@ -73,7 +73,7 @@ class TestParseKlines:
     def test_malformed_row_survives_pickling(self):
         """A process pool sends errors back pickled."""
         back = pickle.loads(pickle.dumps(MalformedRow(5, "bad")))
-        assert str(back) == "malformed kline row at line 5: bad"
+        assert str(back) == "malformed row at line 5: bad"
         assert back.line_no == 5
 
     def test_unparseable_price_rejected(self):
