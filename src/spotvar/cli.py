@@ -3,7 +3,9 @@
 `report` runs the whole chain: legs -> variation -> Tables 1-3 (summary),
 4 (df), 5 (fit), 6 (ci). `variation` runs its head; `summarize`, `dftest`,
 `fit` and `ci` write a slice of its tables from a variation file, with its
-defaults. Precedence: flag > environment variable > manifest file.
+defaults. `_SETTINGS` declares each run setting's key and default once, for
+the manifest and for the flags (`_flag`). Precedence: flag > environment
+variable > manifest file > default.
 
 Exit codes: 0 success, 2 usage error (an out-of-range value included),
 else the `exit_code` of the error's category in `spotvar.errors`.
@@ -31,8 +33,6 @@ from .unitroot import DFModel, df_test
 from .variation import VariationSeries, align, compute_variation
 from . import reports
 
-# 2017-09-01 00:00:00 UTC, the default sample epoch
-DEFAULT_EPOCH_MS = 1_504_224_000_000
 LEGS = ("spot", "num", "den")
 TABLES = ("summary", "df", "fit", "ci")
 
@@ -68,7 +68,8 @@ _SETTINGS = {
     **{f"inputs.{leg}": (None, "a path", lambda v: v is None or isinstance(v, str))
        for leg in LEGS},
     "dt": (1.0, "a number > 0", lambda v: _number(v) and v > 0),
-    "year_split.epoch_start_ms": (DEFAULT_EPOCH_MS, "an integer", _integer),
+    # 2017-09-01 00:00:00 UTC, the default sample epoch
+    "year_split.epoch_start_ms": (1_504_224_000_000, "an integer", _integer),
     "year_split.n_years": (4, "an integer", _integer),
     "percentile_probes": (
         [0, 25, 50, 75, 100],
@@ -94,83 +95,63 @@ def _mc_config(cfg, n):
     """The Monte Carlo settings of the resolved config `cfg`; a null path
     length means `n`, the sample size."""
     mc = cfg["mc"]
-    return McConfig(
-        replications=mc["replications"],
-        path_length=mc["path_length"] or n,
-        dt=cfg["dt"],
-        confidence=mc["confidence"],
-        master_seed=mc["master_seed"],
-        initial_value=mc["initial_value"],
-    )
+    return McConfig(**dict(mc, path_length=mc["path_length"] or n), dt=cfg["dt"])
 
 
-class RunManifest:
-    """Resolved run configuration plus content hashes of the inputs.
+def _resolve(manifest_file, flags):
+    """The `_SETTINGS` of a run, nested as a manifest nests them: a flag of
+    `flags` (keyed by `_flag`'s parameter names) that is not None beats the
+    manifest file, which beats the default. A key that is not a setting,
+    a dotted one at the top level included, is a usage error; the
+    `_DERIVED` keys are skipped, so a bundle's manifest.json resolves to
+    the settings that wrote it."""
+    values = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    loaded = {}
+    if manifest_file:
+        if not Path(manifest_file).is_file():  # opening a FIFO waits for a writer
+            raise click.UsageError(f"manifest {manifest_file} is not a regular file")
+        try:
+            loaded = json.loads(Path(manifest_file).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise click.UsageError(f"manifest {manifest_file} is not JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise click.UsageError(f"manifest {manifest_file} is not a JSON object")
+    for key, value in loaded.items():
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise click.UsageError(f"manifest value '{key}' must be an object, got {value!r}")
+            values.update((f"{key}.{leaf}", v) for leaf, v in value.items())
+        elif key not in _DERIVED:
+            values[key] = value
+    values.update((name.replace("__", "."), v) for name, v in flags.items() if v is not None)
+    unknown = sorted({key for key in loaded if "." in key} | (values.keys() - _SETTINGS.keys()))
+    if unknown:
+        raise click.UsageError(f"unknown manifest keys: {', '.join(unknown)}")
+    cfg = {"version": __version__}
+    for key, (_, what, ok) in _SETTINGS.items():
+        value = values[key]
+        if not ok(value):
+            raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
+        section, _, leaf = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[leaf] = value
+    try:  # the range checks of the Monte Carlo settings and the year split
+        _mc_config(cfg, McConfig.path_length)
+        check_n_years(cfg["year_split"]["n_years"])
+    except InvalidArgument as exc:
+        raise click.UsageError(str(exc)) from exc
+    return cfg
 
-    The manifest hash covers everything that determines the outputs, so two
-    runs with the same hash must produce byte-identical bundles, at any
+
+def _manifest_hash(cfg):
+    """The SHA-256 of the canonical JSON of `cfg`, the resolved settings and
+    the input hashes. It covers everything that determines the outputs, so
+    two runs with the same hash must produce byte-identical bundles, at any
     `--workers` and any BLAS thread count: Monte Carlo seeds are spawned per
     replication, and the AR(1) core takes its dot products in slices of
     10,000 elements, the most OpenBLAS computes in a `ddot` on one thread
-    (`unitroot._dot`).
-    """
-
-    def __init__(self, data):
-        self.data = data
-
-    @classmethod
-    def resolve(cls, manifest_file=None, overrides=None):
-        """The `_SETTINGS` of a run: a flag of `overrides` that is not None
-        beats the manifest file, which beats the default. A key that is not
-        a setting is a usage error; the `_DERIVED` keys are skipped, so a
-        bundle's manifest.json resolves to the settings that wrote it."""
-        values = {key: default for key, (default, _, _) in _SETTINGS.items()}
-        if manifest_file:
-            try:
-                loaded = json.loads(Path(manifest_file).read_text(encoding="utf-8"))
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-                raise click.UsageError(f"manifest {manifest_file} is not JSON: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise click.UsageError(f"manifest {manifest_file} is not a JSON object")
-            for key, value in loaded.items():
-                if key in _SECTIONS:
-                    if not isinstance(value, dict):
-                        raise click.UsageError(
-                            f"manifest value '{key}' must be an object, got {value!r}")
-                    values.update((f"{key}.{leaf}", v) for leaf, v in value.items())
-                elif key not in _DERIVED:
-                    values[key] = value
-        values.update((key, v) for key, v in (overrides or {}).items() if v is not None)
-        unknown = sorted(values.keys() - _SETTINGS.keys())
-        if unknown:
-            raise click.UsageError(f"unknown manifest keys: {', '.join(unknown)}")
-        data = {"version": __version__}
-        for key, (_, what, ok) in _SETTINGS.items():
-            value = values[key]
-            if not ok(value):
-                raise click.UsageError(f"manifest value '{key}' must be {what}, got {value!r}")
-            section, _, leaf = key.rpartition(".")
-            (data.setdefault(section, {}) if section else data)[leaf] = value
-        try:  # the range checks of the Monte Carlo settings and the year split
-            _mc_config(data, McConfig.path_length)
-            check_n_years(data["year_split"]["n_years"])
-        except InvalidArgument as exc:
-            raise click.UsageError(str(exc)) from exc
-        return cls(data)
-
-    def with_input_hashes(self):
-        """Add the SHA-256 of every leg; `_check_legs` runs first."""
-        hashes = {leg: _sha256_file(self.data["inputs"][leg]) for leg in LEGS}
-        return RunManifest(dict(self.data, input_hashes=hashes))
-
-    @property
-    def hash(self):
-        canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def dump(self, path):
-        payload = dict(self.data, manifest_hash=self.hash)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (`unitroot._dot`)."""
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @click.group()
@@ -245,11 +226,21 @@ def _tables(var, cfg, out, tables, mhash="", pool=None):
     return done
 
 
-def _slice(input_path, out_dir, tables, overrides=None, workers=1):
-    cfg = RunManifest.resolve(None, overrides).data
+def _slice(input_path, out_dir, tables, workers=1, **flags):
+    cfg = _resolve(None, flags)
     with fork_pool(workers) as pool:
         var = _run("load", VariationSeries.from_csv, input_path, pool)
         return _tables(var, cfg, Path(out_dir), tables, pool=pool)
+
+
+def _flag(flag, key, **click_kw):
+    """A flag for the run setting `key`. It defaults to None, so that
+    `_resolve` applies the setting's default, which `--help` shows; its
+    parameter name is `key` with a double underscore for each dot."""
+    default = _SETTINGS[key][0]
+    if default is not None:
+        click_kw.setdefault("help", f"default: {default}")
+    return click.option(flag, key.replace(".", "__"), default=None, **click_kw)
 
 
 def _out_dir_option(default="."):
@@ -258,7 +249,6 @@ def _out_dir_option(default="."):
 
 _input_file = click.Path(exists=True, dir_okay=False)
 _input_option = click.option("--input", "input_path", type=_input_file, required=True)
-_dt_option = click.option("--dt", type=float, default=1.0, show_default=True)
 _workers_option = click.option(
     "--workers", type=click.IntRange(min=1), envvar="SPOTVAR_WORKERS", default=usable_cores,
     show_default="the usable cores",
@@ -295,9 +285,8 @@ def fetch(symbols, start, end, endpoint, pause, max_retries, backoff, out_dir):
 @click.option("--den", type=_input_file, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="variation.csv")
 @_workers_option
-def variation_cmd(spot, num, den, out, workers):
+def variation_cmd(out, workers, **legs):
     """Align the three legs (normalized or Binance kline CSVs), write the variation series."""
-    legs = {"spot": spot, "num": num, "den": den}
     _check_legs(legs)
     with fork_pool(workers) as pool:
         var, dropped = _load_legs(legs, pool)
@@ -308,13 +297,12 @@ def variation_cmd(spot, num, den, out, workers):
 
 @main.command()
 @_input_option
-@click.option("--epoch-start", type=int, default=DEFAULT_EPOCH_MS, show_default=True)
-@click.option("--years", type=int, default=4, show_default=True)
+@_flag("--epoch-start", "year_split.epoch_start_ms", type=int)
+@_flag("--years", "year_split.n_years", type=int)
 @_out_dir_option()
-def summarize(input_path, epoch_start, years, out_dir):
+def summarize(input_path, out_dir, **flags):
     """Emit the percentile / yearwise / IQR tables."""
-    overrides = {"year_split.epoch_start_ms": epoch_start, "year_split.n_years": years}
-    _slice(input_path, out_dir, ("summary",), overrides)
+    _slice(input_path, out_dir, ("summary",), **flags)
     click.echo(f"tables 1-3 -> {Path(out_dir)}")
 
 
@@ -330,11 +318,11 @@ def dftest(input_path, out_dir):
 
 @main.command()
 @_input_option
-@_dt_option
+@_flag("--dt", "dt", type=float)
 @_out_dir_option()
-def fit(input_path, dt, out_dir):
+def fit(input_path, out_dir, **flags):
     """Closed-form OU maximum-likelihood fit."""
-    params, _, _ = _slice(input_path, out_dir, ("fit",), {"dt": dt})["fit"]
+    params, _, _ = _slice(input_path, out_dir, ("fit",), **flags)["fit"]
     click.echo(f"alpha={params.alpha:.6f} mu={params.mu:.6e} sigma={params.sigma:.6f}")
 
 
@@ -344,7 +332,7 @@ def fit(input_path, dt, out_dir):
 @click.option("--sigma", type=float, required=True)
 @click.option("--v0", type=float, default=None, help="initial value (default mu)")
 @click.option("--steps", type=int, required=True)
-@_dt_option
+@click.option("--dt", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
 @click.option("--out", type=click.Path(dir_okay=False), default="simulated.csv")
 def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
@@ -360,62 +348,45 @@ def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
 
 @main.command()
 @_input_option
-@click.option("--replications", type=int, default=1000, show_default=True)
-@click.option("--path-length", type=int, default=None, help="default: sample size")
-@click.option("--confidence", type=float, default=0.90, show_default=True)
-@click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
+@_flag("--replications", "mc.replications", type=int)
+@_flag("--path-length", "mc.path_length", type=int, help="default: the sample size")
+@_flag("--confidence", "mc.confidence", type=float)
+@_flag("--seed", "mc.master_seed", type=int, envvar="SPOTVAR_SEED")
 @_workers_option
-@_dt_option
+@_flag("--dt", "dt", type=float)
 @_out_dir_option()
-def ci(input_path, replications, path_length, confidence, seed, workers, dt, out_dir):
+def ci(input_path, workers, out_dir, **flags):
     """Fit, then Monte Carlo confidence intervals for the parameters."""
-    overrides = {
-        "dt": dt,
-        "mc.replications": replications,
-        "mc.path_length": path_length,
-        "mc.confidence": confidence,
-        "mc.master_seed": seed,
-    }
-    r = _slice(input_path, out_dir, ("ci",), overrides, workers=workers)["ci"]
+    r = _slice(input_path, out_dir, ("ci",), workers=workers, **flags)["ci"]
     for name in ("alpha", "mu", "sigma"):
         click.echo(f"{name}: {r.point[name]:.6e} [{r.lower[name]:.6e}, {r.upper[name]:.6e}]")
 
 
 @main.command()
 @click.option("--manifest", "manifest_file", type=_input_file, default=None)
-@click.option("--spot", type=_input_file, default=None)
-@click.option("--num", type=_input_file, default=None)
-@click.option("--den", type=_input_file, default=None)
+@_flag("--spot", "inputs.spot", type=_input_file)
+@_flag("--num", "inputs.num", type=_input_file)
+@_flag("--den", "inputs.den", type=_input_file)
 @_out_dir_option("report")
-@click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=None)
+@_flag("--seed", "mc.master_seed", type=int, envvar="SPOTVAR_SEED")
 @_workers_option
-@click.option("--replications", type=int, default=None)
-@click.option("--path-length", type=int, default=None)
-@click.option("--skip-mc", is_flag=True, default=None)
-def report(manifest_file, spot, num, den, out_dir, seed, workers, replications,
-           path_length, skip_mc):
+@_flag("--replications", "mc.replications", type=int)
+@_flag("--path-length", "mc.path_length", type=int, help="default: the sample size")
+@_flag("--skip-mc", "skip_mc", is_flag=True)
+def report(manifest_file, out_dir, workers, **flags):
     """Run the full pipeline and emit the paper-shaped report bundle."""
-    overrides = {
-        "inputs.spot": spot,
-        "inputs.num": num,
-        "inputs.den": den,
-        "mc.master_seed": seed,
-        "mc.replications": replications,
-        "mc.path_length": path_length,
-        "skip_mc": skip_mc,
-    }
-    manifest = RunManifest.resolve(manifest_file, overrides)
-    _check_legs(manifest.data["inputs"])
+    cfg = _resolve(manifest_file, flags)
+    _check_legs(cfg["inputs"])
     with fork_pool(workers) as pool:  # before any input is read
-        manifest = manifest.with_input_hashes()
-        mhash = manifest.hash
+        cfg["input_hashes"] = {leg: _sha256_file(cfg["inputs"][leg]) for leg in LEGS}
+        mhash = _manifest_hash(cfg)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        var, _ = _load_legs(manifest.data["inputs"], pool)
+        var, _ = _load_legs(cfg["inputs"], pool)
         var.to_csv(out / "variation.csv", header_comment=f"manifest_hash={mhash}", pool=pool)
-        tables = TABLES[:-1] if manifest.data["skip_mc"] else TABLES
-        _tables(var, manifest.data, out, tables, mhash, pool)
-    manifest.dump(out / "manifest.json")
+        _tables(var, cfg, out, TABLES[:-1] if cfg["skip_mc"] else TABLES, mhash, pool)
+    manifest = json.dumps(dict(cfg, manifest_hash=mhash), indent=2, sort_keys=True)
+    (out / "manifest.json").write_text(manifest + "\n")
     click.echo(f"report bundle -> {out} (manifest {mhash[:12]})")
 
 

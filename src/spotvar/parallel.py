@@ -48,6 +48,19 @@ def pool_map(pool, fn, jobs):
     return map(fn, jobs) if pool is None else pool.map(fn, jobs)
 
 
+def _die_with_parent(parent):
+    """Pool initializer: on Linux the kernel kills this worker when its
+    parent dies (`PR_SET_PDEATHSIG`); it exits at once if the parent died
+    before the call."""
+    if sys.platform == "linux":
+        import ctypes
+        import signal
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 @contextmanager
 def fork_pool(workers):
     """A started Pool of `workers` processes, or None for one worker. Every
@@ -58,7 +71,8 @@ def fork_pool(workers):
     there); other platforms keep their default start method. The first job
     starts all forked workers, so they start here, before the executor starts
     its own threads and while this process holds little more than its
-    imports: they stay small whatever it reads later."""
+    imports: they stay small whatever it reads later. On Linux a worker dies
+    with this process, even one killed by a signal."""
     if workers <= 1:
         yield None
         return
@@ -66,6 +80,7 @@ def fork_pool(workers):
     # inherit it instead of each loading it for its first Monte Carlo job
     import numpy.random  # noqa: F401
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as executor:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_die_with_parent, initargs=(os.getpid(),)) as executor:
         executor.submit(int)
         yield Pool(executor, workers)

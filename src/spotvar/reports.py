@@ -59,16 +59,11 @@ class TableWriter:
         payload = {
             "title": self.title,
             "columns": list(self.columns),
-            "rows": [
-                [v if isinstance(v, str) else float(v) for v in row]
-                for row in self.rows
-            ],
+            "rows": [[self._cell(v, float) for v in row] for row in self.rows],
             "manifest_hash": self.manifest_hash,
         }
         if self.extra:
-            payload["extra"] = {
-                k: (v if isinstance(v, str) else float(v)) for k, v in self.extra.items()
-            }
+            payload["extra"] = {k: self._cell(v, float) for k, v in self.extra.items()}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir):

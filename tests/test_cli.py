@@ -3,9 +3,11 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -15,7 +17,7 @@ import pytest
 
 import spotvar.cli as cli
 from conftest import MINUTE_MS, child_env, fstring_rows
-from spotvar import OUParams, errors, ingest, parallel, simulate_path
+from spotvar import OUParams, VariationSeries, errors, ingest, parallel, simulate_path
 from spotvar.cli import cli_entry
 
 DATA = Path(__file__).parent / "data"
@@ -151,6 +153,15 @@ def _variation_bytes(paths, out):
     """The bytes `variation` writes for the legs `paths`."""
     assert cli_entry(["variation", *_leg_args(paths), "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
 
 
 @pytest.fixture
@@ -422,6 +433,35 @@ class TestWorkers:
                  "OUT/v.csv": str(tmp_path / "out" / "v.csv")}
         assert cli_entry([files.get(a, a) for a in argv]) == 0
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="PR_SET_PDEATHSIG is Linux-only")
+    def test_workers_die_with_a_killed_command(self, tmp_path, variation_csv):
+        """A command killed by a signal runs no cleanup; its pool workers
+        must not run on as orphans. The Monte Carlo would take minutes."""
+        argv = ["ci", "--input", variation_csv, "--replications", "100000", "--path-length",
+                "100000", "--workers", "2", "--out-dir", tmp_path / "out"]
+        proc = subprocess.Popen([sys.executable, "-m", "spotvar.cli", *map(str, argv)],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                env=child_env())
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                workers = children.read_text().split()
+                time.sleep(0.05)
+            assert len(workers) == 2, workers
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(_running, workers):
+                os.kill(int(pid), signal.SIGKILL)
+
     @pytest.mark.parametrize("command", ["variation", "ci", "report"])
     def test_workers_default_to_the_usable_cores(self, command):
         option = next(p for p in cli.main.commands[command].params if p.name == "workers")
@@ -476,6 +516,24 @@ class TestSlicesOfReport:
         for name in written:
             assert without_hash(sliced / name) == without_hash(bundle / name), name
 
+    def test_a_slice_takes_its_defaults_from_the_settings_table(self, tmp_path, monkeypatch):
+        """A default changed in `cli._SETTINGS` reaches the slices that run
+        without its flag: Table 6's replication count and Table 3's rows."""
+        for key, default in (("mc.replications", 25), ("year_split.n_years", 3)):
+            monkeypatch.setitem(cli._SETTINGS, key, (default, *cli._SETTINGS[key][1:]))
+        year_ms = 365 * 24 * 60 * MINUTE_MS
+        times = T0 + np.arange(600, dtype=np.int64) * (6 * year_ms // 600)
+        values = simulate_path(OUParams(0.8, 0.0, 0.001), 0.0, 599, rng_seed=2)
+        var = tmp_path / "variation.csv"
+        VariationSeries(times, values).to_csv(var)
+        out = tmp_path / "out"
+        assert cli_entry(["summarize", "--input", str(var), "--out-dir", str(out)]) == 0
+        assert cli_entry(["ci", "--input", str(var), "--path-length", "100", "--workers", "1",
+                          "--out-dir", str(out)]) == 0
+        assert len(json.loads((out / "table3_yearwise_iqr.json").read_text())["rows"]) == 3
+        extra = json.loads((out / "table6_confidence_intervals.json").read_text())["extra"]
+        assert extra["replications"] == "25"
+
 
 # 0.5**k is fitted exactly by all three Dickey-Fuller regressions: se(delta) = 0
 EXACT_FIT = "open_time_ms,variation\n" + "".join(f"{k * MINUTE_MS},{0.5**k!r}\n" for k in range(31))
@@ -483,6 +541,7 @@ SIMULATE = "simulate --alpha 0.8 --mu 0 --sigma 0.001"
 # click rejects the bad value before any request is sent
 FETCH = f"fetch --symbol ETHBTC --start {T0} --end {T0 + MINUTE_MS} --endpoint http://127.0.0.1:9/k"
 SAMPLE_INPUTS = {leg: str(path) for leg, path in SAMPLE_LEGS.items()}
+NUM_FIFO = "input for leg 'num' is not a regular file: {fifo}"
 
 
 def _category_code(cls):
@@ -541,6 +600,7 @@ class TestExitCodes:
         ("report --manifest UNKNOWN_KEY", 2),
         ("report --manifest UNKNOWN_MC_KEY", 2),
         ("report --manifest UNKNOWN_INPUT_KEY", 2),
+        ("report --manifest TOP_LEVEL_DOTTED_KEY", 2),
         ("report --manifest SAMPLE --workers 0", 2),
         ("ci --input VAR --workers 0", 2),
         (f"{FETCH} --backoff -1 --max-retries 1", 2),
@@ -572,6 +632,8 @@ class TestExitCodes:
             ("UNKNOWN_MC_KEY", json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"replicatons": 5}})),
             ("UNKNOWN_INPUT_KEY",
              json.dumps({"inputs": dict(SAMPLE_INPUTS, extra=SAMPLE_INPUTS["spot"])})),
+            # a setting nests in its section object, never under a dotted key
+            ("TOP_LEVEL_DOTTED_KEY", json.dumps({"inputs": SAMPLE_INPUTS, "mc.replications": 20})),
             ("EXACT_FIT", EXACT_FIT),
         ):
             files[name] = tmp_path / name
@@ -621,14 +683,19 @@ class TestExitCodes:
         assert cli_entry([*command, "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["variation", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], id="variation"),
-        pytest.param(["report", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], id="report-flag"),
-        pytest.param(["report", "--manifest", "MANIFEST"], id="report-manifest"),
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["variation", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], NUM_FIFO,
+                     id="variation"),
+        pytest.param(["report", *_leg_args(dict(SAMPLE_LEGS, num="FIFO"))], NUM_FIFO,
+                     id="report-flag"),
+        pytest.param(["report", "--manifest", "MANIFEST"], NUM_FIFO, id="report-manifest"),
+        pytest.param(["report", "--manifest", "FIFO"], "manifest {fifo} is not a regular file",
+                     id="manifest-fifo"),
     ])
-    def test_a_leg_that_is_not_a_regular_file_is_a_usage_error(self, tmp_path, argv):
-        """A FIFO with no writer: opening it would wait forever, so it is
-        refused before any leg is opened, in a child that a hang times out."""
+    def test_a_leg_that_is_not_a_regular_file_is_a_usage_error(self, tmp_path, argv, error):
+        """A FIFO with no writer, as a leg or as the manifest: opening it
+        would wait forever, so it is refused before any input is opened, in
+        a child that a hang times out."""
         fifo = tmp_path / "num.fifo"
         os.mkfifo(fifo)
         manifest = tmp_path / "manifest.json"
@@ -637,8 +704,7 @@ class TestExitCodes:
         args = [{"FIFO": fifo, "MANIFEST": manifest}.get(a, a) for a in argv]
         result = run_cli(*args, out, tmp_path / "out", timeout=60)
         assert result.returncode == 2
-        assert result.stderr.splitlines() == [
-            f"usage error: input for leg 'num' is not a regular file: {fifo}"]
+        assert result.stderr.splitlines() == ["usage error: " + error.format(fifo=fifo)]
         assert result.stdout == ""
         assert not (tmp_path / "out").exists()
 

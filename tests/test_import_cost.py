@@ -41,7 +41,7 @@ def test_parallel_sampling_forks_whatever_the_default_start_method(monkeypatch):
     contexts = []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, **initializer_args):
             contexts.append(mp_context)
 
         def __enter__(self):
