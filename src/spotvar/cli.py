@@ -95,7 +95,8 @@ def _mc_config(cfg, n):
     """The Monte Carlo settings of the resolved config `cfg`; a null path
     length means `n`, the sample size."""
     mc = cfg["mc"]
-    return McConfig(**dict(mc, path_length=mc["path_length"] or n), dt=cfg["dt"])
+    path_length = n if mc["path_length"] is None else mc["path_length"]
+    return McConfig(**dict(mc, path_length=path_length), dt=cfg["dt"])
 
 
 def _resolve(manifest_file, flags):
@@ -147,9 +148,9 @@ def _manifest_hash(cfg):
     the input hashes. It covers everything that determines the outputs, so
     two runs with the same hash must produce byte-identical bundles, at any
     `--workers` and any BLAS thread count: Monte Carlo seeds are spawned per
-    replication, and the AR(1) core takes its dot products in slices of
-    10,000 elements, the most OpenBLAS computes in a `ddot` on one thread
-    (`unitroot._dot`)."""
+    replication, and the AR(1) core and the log-likelihood take their dot
+    products in slices of 10,000 elements, the most OpenBLAS computes in a
+    `ddot` on one thread (`unitroot._slice_sums`)."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

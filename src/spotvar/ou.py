@@ -26,7 +26,7 @@ from .errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from .unitroot import DFModel, _dot, ar1_regression
+from .unitroot import _DOT_SLICE, DFModel, _slice_sums, ar1_regression
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,20 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
             f"out must be a writable contiguous float64 array of length {n_steps + 1}"
         )
     tp = transition_params(params, dt)
-    # the shocks are drawn and scaled in the path's own tail
-    shocks = out[1:]
-    np.random.default_rng(rng_seed).standard_normal(out=shocks)
-    shocks *= tp.cond_sd
+    rng = np.random.default_rng(rng_seed)
+    linear_filter, b, a = _linear_filter(), np.array([1.0]), np.array([1.0, -tp.omega])
+    state = np.array([tp.omega * (v0 - params.mu)])
     # v - mu is an AR(1) with coefficient omega; lfilter's core runs the
-    # recursion v_k - mu = omega * (v_{k-1} - mu) + shock_k in C.
-    x, _ = _linear_filter()(np.array([1.0]), np.array([1.0, -tp.omega]), shocks, -1,
-                            np.array([tp.omega * (v0 - params.mu)]))
-    np.add(x, params.mu, out=shocks)
+    # recursion v_k - mu = omega * (v_{k-1} - mu) + shock_k in C. The tail
+    # of `out` is drawn, scaled, filtered and shifted one slice at a time;
+    # the generator's stream and the carried filter state make the slices
+    # one path, the same as one whole-length call.
+    for start in range(1, n_steps + 1, _DOT_SLICE):
+        shocks = out[start:start + _DOT_SLICE]
+        rng.standard_normal(out=shocks)
+        shocks *= tp.cond_sd
+        x, state = linear_filter(b, a, shocks, -1, state)
+        np.add(x, params.mu, out=shocks)
     out[0] = v0
     return out
 
@@ -128,8 +133,12 @@ def log_likelihood(params: OUParams, series, dt=1.0):
         raise SeriesTooShort("need >= 2 observations")
     tp = transition_params(params, dt)
     n = len(v) - 1
-    resid = v[1:] - params.mu - (v[:-1] - params.mu) * tp.omega
-    ss = _dot(resid, resid)
+
+    def residual_square(start, stop):
+        resid = v[start + 1:stop + 1] - params.mu - (v[start:stop] - params.mu) * tp.omega
+        return [float(resid @ resid)]
+
+    (ss,) = _slice_sums(n, residual_square)
     return -0.5 * n * math.log(2 * math.pi) - n * math.log(tp.cond_sd) - ss / (2 * tp.cond_sd**2)
 
 
@@ -152,11 +161,13 @@ def mle_fit(series, dt=1.0):
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if len(v) < 4:
         raise SeriesTooShort(f"need >= 4 observations, got {len(v)}")
-    if np.ptp(v) == 0:
-        raise DegenerateSeries("constant series has no OU fit")
     try:
         reg = ar1_regression(v, DFModel.CONST)
     except RankDeficient as exc:
+        # a constant series is rank-deficient, so only a failed fit pays
+        # for the pass over the series that tells it apart
+        if np.ptp(v) == 0:
+            raise DegenerateSeries("constant series has no OU fit") from None
         raise NumericalBreakdown(f"lag is numerically constant: {exc}") from exc
     omega = 1 + reg.delta
     if omega >= 1:

@@ -39,24 +39,26 @@ _CRITICAL_1PCT = {
 }
 
 
-# OpenBLAS runs a `ddot` on its thread pool only above this many elements
+# OpenBLAS runs a `ddot` on its thread pool only above this many elements;
+# the AR(1) core and the OU simulator work through a series in slices of
+# this many rows, so each slice's scratch stays in cache
 _DOT_SLICE = 10_000
 
 
-def _dot(a, b):
-    """a @ b for 1-d float64 arrays, as the left-to-right sum of the BLAS dots
-    of consecutive slices of at most _DOT_SLICE elements.
+def _slice_sums(n, sums):
+    """The totals of the lists of floats `sums(start, stop)` over the
+    consecutive slices of at most _DOT_SLICE of rows 0..n, each total added
+    left to right.
 
-    No slice wakes OpenBLAS's thread pool, so the result does not depend on
-    the BLAS thread count (the threaded kernel sums per-thread partial dots),
-    and a Monte Carlo worker uses one core. Up to _DOT_SLICE elements this is
-    exactly the one call `a @ b`.
+    With one BLAS dot per total and slice, no dot wakes OpenBLAS's thread
+    pool, so a total does not depend on the BLAS thread count (the threaded
+    kernel adds per-thread partial dots), and a Monte Carlo worker uses one
+    core. Up to _DOT_SLICE rows a total is exactly its one slice's value.
     """
-    total = float(a[:_DOT_SLICE] @ b[:_DOT_SLICE])
-    for start in range(_DOT_SLICE, len(a), _DOT_SLICE):
-        stop = start + _DOT_SLICE
-        total += float(a[start:stop] @ b[start:stop])
-    return total
+    totals = sums(0, min(n, _DOT_SLICE))
+    for start in range(_DOT_SLICE, n, _DOT_SLICE):
+        totals = [a + b for a, b in zip(totals, sums(start, min(n, start + _DOT_SLICE)))]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -96,42 +98,86 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     Raises InsufficientData when rows <= regressors and RankDeficient when
     the lag is numerically a deterministic term.
 
-    Works in place on the two arrays it allocates, the difference and the
-    centered lag; the input series is never written.
+    The difference is the one array as long as the series that it
+    allocates. Every sum of products runs through `_slice_sums`; each slice
+    centers and projects its lag in slice-sized scratch and its response in
+    place in the difference, with the floating-point operations of the
+    whole-array form. The input series is never written.
     """
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    x, y = v[:-1], np.diff(v)
+    y = np.diff(v)
     n = len(y)
     k = {DFModel.NO_CONST: 1, DFModel.CONST: 2, DFModel.CONST_TREND: 3}[variant]
     if n < k + 1:
         raise InsufficientData(f"{n} rows for {k} regressors")
-    x_norm = math.sqrt(_dot(x, x))
     x_mean = y_mean = trend_term = 0.0
     if variant is not DFModel.NO_CONST:
-        x_mean, y_mean = float(x.mean()), float(y.mean())
-        x = x - x_mean  # from here on x is ours, no longer a view of v
-        y -= y_mean
+        # whole-array means: numpy's pairwise sum depends on the whole array
+        x_mean, y_mean = float(v[:-1].mean()), float(y.mean())
+    norm = tx = ty = None  # the trend's norm and its dots with the centered rows
+
+    def lag(start, stop, projected=False):
+        """Rows start..stop of the lag less its mean, in a new array, and,
+        under model (c), of the unit-norm trend, with the lag projected off
+        it if `projected`. Model (a)'s mean is 0.0, and x - 0.0 is x."""
+        x = v[start:stop] - x_mean
+        if norm is None:
+            return x, None
+        t = (steps[:stop - start] + (start - half)) / norm
+        if projected:
+            x -= tx * t
+        return x, t
+
+    kept = {}  # the last slice's lag and trend, handed on to the next pass
+
     if variant is DFModel.CONST_TREND:
-        trend = np.arange(n) - (n - 1) / 2  # t = 1..n, centered
-        trend_norm = math.sqrt(_dot(trend, trend))
-        trend /= trend_norm
-        tx, ty = _dot(trend, x), _dot(trend, y)
-        x -= tx * trend
-        y -= ty * trend
-    xx = _dot(x, x)
-    if not math.sqrt(xx) > n * np.finfo(np.float64).eps * x_norm:  # nan fails too
+        # rows start..stop of the centered trend t - (n + 1) / 2, t = 1..n,
+        # are steps[:stop - start] + (start - half), exactly: each value is
+        # a multiple of 1/2 below 2**52
+        steps, half = np.arange(float(min(n, _DOT_SLICE))), (n - 1) / 2
+
+        def trend_square(start, stop):
+            t = steps[:stop - start] + (start - half)
+            return [float(t @ t)]
+
+        def trend_dots(start, stop):
+            kept.clear()
+            x, t = kept[start] = lag(start, stop)
+            dy = y[start:stop]
+            dy -= y_mean
+            return [float(t @ x), float(t @ dy)]
+
+        norm = math.sqrt(_slice_sums(n, trend_square)[0])
+        tx, ty = _slice_sums(n, trend_dots)
+
+    def normal_equations(start, stop):
+        raw = v[start:stop]
+        x, t = kept.pop(start, None) or lag(start, stop)
+        dy = y[start:stop]
+        if t is not None:
+            x -= tx * t
+            dy -= ty * t  # trend_dots centered it
+        elif variant is DFModel.CONST:
+            dy -= y_mean
+        kept.clear()
+        kept[start] = x, t
+        return [float(raw @ raw), float(x @ x), float(x @ dy)]
+
+    x_square, xx, xy = _slice_sums(n, normal_equations)
+    if not math.sqrt(xx) > n * np.finfo(np.float64).eps * math.sqrt(x_square):  # nan fails too
         raise RankDeficient("lag is collinear with the deterministic terms")
-    delta = _dot(x, y) / xx
-    # the residual y - delta * x, built in y; model (a)'s x is the caller's
-    if variant is DFModel.NO_CONST:
-        x = delta * x
-    else:
+    delta = xy / xx
+
+    def residual_square(start, stop):
+        x, _ = kept.pop(start, None) or lag(start, stop, projected=True)
         x *= delta
-    y -= x
-    rss = _dot(y, y)
+        np.subtract(y[start:stop], x, out=x)  # the residual, in the lag's array
+        return [float(x @ x)]
+
+    (rss,) = _slice_sums(n, residual_square)
     if variant is DFModel.CONST_TREND:
         # trend coefficient times the mean of t, to refer the constant to t = 0
-        trend_term = (ty - delta * tx) / trend_norm * (n + 1) / 2
+        trend_term = (ty - delta * tx) / norm * (n + 1) / 2
     intercept = y_mean - delta * x_mean - trend_term
     return AR1Fit(n, delta, math.sqrt(rss / (n - k) / xx), intercept, rss)
 

@@ -101,6 +101,47 @@ def exact_ar1_regression(values, model):
     return n, beta[0], se2, beta[1] if k > 1 else Fraction(0), rss
 
 
+def whole_array_dot(a, b):
+    """a @ b as the left-to-right sum of the BLAS dots of consecutive
+    10,000-element slices of whole-length arrays: the reference core's dot."""
+    total = float(a[:10_000] @ b[:10_000])
+    for start in range(10_000, len(a), 10_000):
+        total += float(a[start:start + 10_000] @ b[start:start + 10_000])
+    return total
+
+
+def whole_array_ar1_regression(series, variant):
+    """The AR(1) core as it was before it worked slice by slice: the same
+    floating-point expressions on whole-length arrays. Returns (n, delta,
+    se_delta, intercept, rss); `ar1_regression` must give the same bits."""
+    v = np.asarray(getattr(series, "values", series), dtype=np.float64)
+    x, y = v[:-1], np.diff(v)
+    n = len(y)
+    k = {"a": 1, "b": 2, "c": 3}[variant.value]
+    x_norm = math.sqrt(whole_array_dot(x, x))
+    x_mean = y_mean = trend_term = 0.0
+    if variant.value != "a":
+        x_mean, y_mean = float(x.mean()), float(y.mean())
+        x = x - x_mean
+        y -= y_mean
+    if variant.value == "c":
+        trend = np.arange(n) - (n - 1) / 2
+        trend_norm = math.sqrt(whole_array_dot(trend, trend))
+        trend /= trend_norm
+        tx, ty = whole_array_dot(trend, x), whole_array_dot(trend, y)
+        x -= tx * trend
+        y -= ty * trend
+    xx = whole_array_dot(x, x)
+    assert math.sqrt(xx) > n * np.finfo(np.float64).eps * x_norm
+    delta = whole_array_dot(x, y) / xx
+    y -= delta * x
+    rss = whole_array_dot(y, y)
+    if variant.value == "c":
+        trend_term = (ty - delta * tx) / trend_norm * (n + 1) / 2
+    intercept = y_mean - delta * x_mean - trend_term
+    return n, delta, math.sqrt(rss / (n - k) / xx), intercept, rss
+
+
 def stationary_variance(params: OUParams):
     return params.sigma**2 / (2 * params.alpha)
 

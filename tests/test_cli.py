@@ -580,6 +580,9 @@ class TestExitCodes:
         ("ci --input VAR --replications 1", 2),
         ("ci --input VAR --confidence 1.5", 2),
         ("ci --input VAR --path-length 2", 2),
+        # only null means the sample size
+        ("ci --input VAR --path-length 0", 2),
+        ("report --manifest ZERO_PATH_LENGTH", 2),
         ("summarize --input VAR --years 0", 2),
         (f"{SIMULATE} --steps 0", 2),
         (f"{SIMULATE} --steps 10 --dt 0", 2),
@@ -625,6 +628,7 @@ class TestExitCodes:
             ("CONFIDENCE_ABOVE_ONE",
              json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"confidence": 1.5}})),
             ("NO_YEARS", json.dumps({"inputs": SAMPLE_INPUTS, "year_split": {"n_years": 0}})),
+            ("ZERO_PATH_LENGTH", json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"path_length": 0}})),
             ("INFINITE_INITIAL_VALUE",
              json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"initial_value": float("inf")}})),
             ("SAMPLE", json.dumps({"inputs": SAMPLE_INPUTS})),

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.signal import lfilter
 
-from conftest import conditional_moments, exact_ar1_regression, numeric_refine, stationary_variance
+from conftest import (
+    conditional_moments,
+    exact_ar1_regression,
+    numeric_refine,
+    stationary_variance,
+    whole_array_dot,
+)
 from spotvar import (
     OUParams,
     VariationSeries,
@@ -103,7 +109,8 @@ class TestSimulatePath:
             simulate_path(PARAMS, 0.0, 10, out=buf)
 
     @pytest.mark.parametrize("seed", [5, 6])
-    @pytest.mark.parametrize("n_steps", [5000, 200_000])
+    # one whole slice of 10,000 steps, one step past it, and inside a third
+    @pytest.mark.parametrize("n_steps", [5000, 10_000, 10_001, 25_000, 200_000])
     def test_equals_the_lfilter_recursion(self, n_steps, seed):
         tp = transition_params(PARAMS)
         v0 = 0.001
@@ -152,6 +159,16 @@ class TestLogLikelihood:
         oracle = sps.norm.logpdf(v[1:], loc=means, scale=tp.cond_sd).sum()
         assert log_likelihood(PARAMS, v, 1.0) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("n_steps", [10_000, 10_001, 25_000])
+    def test_same_bits_as_the_whole_array_residual(self, n_steps):
+        v = simulate_path(PARAMS, 0.0, n_steps, 1.0, rng_seed=5)
+        tp = transition_params(PARAMS, 1.0)
+        resid = v[1:] - MU - (v[:-1] - MU) * tp.omega
+        ss = whole_array_dot(resid, resid)
+        expected = (-0.5 * n_steps * math.log(2 * math.pi) - n_steps * math.log(tp.cond_sd)
+                    - ss / (2 * tp.cond_sd**2))
+        assert log_likelihood(PARAMS, v, 1.0).hex() == expected.hex()
+
     def test_fitted_params_beat_perturbations(self):
         v = simulate_path(PARAMS, 0.0, 20_000, 1.0, rng_seed=4)
         fitted, _, _ = mle_fit(v)
@@ -196,6 +213,14 @@ class TestMleFit:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeries):
             mle_fit(np.full(100, 0.5))
+
+    # a constant series is told apart only once the fit finds the lag
+    # rank-deficient; 0.1 has no exact float mean, so centering leaves noise
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3.7e5, 1e-310])
+    @pytest.mark.parametrize("n", [4, 129, 10_001])
+    def test_every_constant_series_is_degenerate(self, value, n):
+        with pytest.raises(DegenerateSeries):
+            mle_fit(np.full(n, value))
 
     def test_exploding_series_non_mean_reverting(self):
         with pytest.raises(NonMeanReverting):

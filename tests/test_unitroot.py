@@ -4,15 +4,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import exact_ar1_regression
-from spotvar import DFModel, VariationSeries, ar1_regression, critical_value, df_test
+from conftest import exact_ar1_regression, whole_array_ar1_regression
+from spotvar import (
+    DFModel,
+    OUParams,
+    VariationSeries,
+    ar1_regression,
+    critical_value,
+    df_test,
+    simulate_path,
+)
 from spotvar.errors import (
     InsufficientData,
     NumericalBreakdown,
     RankDeficient,
     SeriesTooShort,
 )
-from spotvar.unitroot import _dot
+from spotvar.unitroot import _slice_sums
 
 
 class TestAR1Regression:
@@ -66,16 +74,34 @@ class TestAR1Regression:
         with pytest.raises(InsufficientData):
             ar1_regression(np.array([1.0, 2.0, 4.0]), DFModel.CONST_TREND)
 
+    @pytest.mark.parametrize("model", list(DFModel))
+    @pytest.mark.parametrize("rows", [9_999, 10_000, 10_001, 20_001, 2_093_753])
+    def test_same_bits_as_the_whole_array_core(self, model, rows):
+        """Slice by slice, the core computes what it computed on whole-length
+        arrays, bit for bit: one row short of a slice, one slice, one row
+        past it, two slices and a row, and the paper's sample size."""
+        params = OUParams(alpha=0.8, mu=-2e-5, sigma=0.0017)
+        path = simulate_path(params, 3e-3, rows, 1.0, rng_seed=rows)
+        fit = ar1_regression(path, model)
+        got = (fit.n, fit.delta, fit.se_delta, fit.intercept, fit.rss)
+        expected = whole_array_ar1_regression(path, model)
+        assert got[0] == expected[0] == rows
+        assert [x.hex() for x in got[1:]] == [x.hex() for x in expected[1:]]
+
+
+def sliced_dot(a, b):
+    return _slice_sums(len(a), lambda start, stop: [float(a[start:stop] @ b[start:stop])])[0]
+
 
 class TestSlicedDot:
-    """`_dot` adds the BLAS dots of consecutive 10,000-element slices."""
+    """`_slice_sums` adds the BLAS dots of consecutive 10,000-element slices."""
 
     @pytest.mark.parametrize("n", [1, 9_999, 10_000])
     def test_one_slice_is_the_plain_dot(self, n):
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n), rng.standard_normal(n)
-        assert _dot(a, b).hex() == float(a @ b).hex()
-        assert _dot(a, a).hex() == float(a @ a).hex()
+        assert sliced_dot(a, b).hex() == float(a @ b).hex()
+        assert sliced_dot(a, a).hex() == float(a @ a).hex()
 
     def test_three_slices_within_rounding_of_exact(self):
         n = 25_000
@@ -83,7 +109,7 @@ class TestSlicedDot:
         a, b = rng.standard_normal(n), rng.standard_normal(n)
         exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist()))
         bound = n * np.finfo(np.float64).eps * math.fsum(np.abs(a * b))
-        assert abs(Fraction(_dot(a, b)) - exact) <= bound
+        assert abs(Fraction(sliced_dot(a, b)) - exact) <= bound
 
 
 class TestCriticalValues:
