@@ -69,7 +69,8 @@ _SETTINGS = {
        for leg in LEGS},
     "dt": (1.0, "a number > 0", lambda v: _number(v) and v > 0),
     # 2017-09-01 00:00:00 UTC, the default sample epoch
-    "year_split.epoch_start_ms": (1_504_224_000_000, "an integer", _integer),
+    "year_split.epoch_start_ms": (1_504_224_000_000, "an integer in the int64 range",
+                                  lambda v: _integer(v) and -2**63 <= v < 2**63),
     "year_split.n_years": (4, "an integer", _integer),
     "percentile_probes": (
         [0, 25, 50, 75, 100],
@@ -82,7 +83,7 @@ _SETTINGS = {
     # null: the sample size
     "mc.path_length": (None, "an integer or null", lambda v: v is None or _integer(v)),
     "mc.confidence": (0.90, "a number", _number),
-    "mc.master_seed": (0, "an integer", _integer),
+    "mc.master_seed": (0, "a non-negative integer", lambda v: _integer(v) and v >= 0),
     "mc.initial_value": (None, "a number or null", lambda v: v is None or _number(v)),
     "skip_mc": (False, "true or false", lambda v: isinstance(v, bool)),
 }
@@ -164,6 +165,8 @@ def main():
 def _run(stage, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except StageError:  # a stage run inside this one, as a leg load inside align
+        raise
     except SpotvarError as exc:
         raise StageError(stage, exc) from exc
 
@@ -188,9 +191,10 @@ def _check_legs(paths):
 
 def _load_legs(paths, pool=None):
     """Load the legs, align them, take the variation. Returns the variation
-    and the rows each leg lost to the alignment."""
-    legs = [_run("load", PriceSeriesLoader, paths[leg], leg, pool) for leg in LEGS]
-    triple = _run("align", align, *legs)
+    and the rows each leg lost to the alignment. `align` reads each leg as
+    it folds it in, so one leg is held at a time."""
+    legs = (_run("load", PriceSeriesLoader, paths[leg], leg, pool) for leg in LEGS)
+    triple = _run("align", align, legs)
     return _run("variation", compute_variation, triple), triple.dropped
 
 
@@ -334,7 +338,7 @@ def fit(input_path, out_dir, **flags):
 @click.option("--v0", type=float, default=None, help="initial value (default mu)")
 @click.option("--steps", type=int, required=True)
 @click.option("--dt", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, envvar="SPOTVAR_SEED", default=0)
+@click.option("--seed", type=click.IntRange(min=0), envvar="SPOTVAR_SEED", default=0)
 @click.option("--out", type=click.Path(dir_okay=False), default="simulated.csv")
 def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
     """Simulate an OU path via the exact transition law."""

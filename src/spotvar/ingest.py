@@ -59,8 +59,7 @@ class PriceSeries:
             raise ValueError("times and closes must be 1-d and equal length")
         if len(self.times) == 0:
             raise EmptyInput(f"{self.symbol}: empty series")
-        deltas = np.diff(self.times)
-        if np.any(deltas <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):  # np.diff wraps in int64
             raise NonMonotonicTimestamp(
                 f"{self.symbol}: duplicate or decreasing timestamp"
             )
@@ -255,10 +254,11 @@ def int64_times(times):
 
 
 def find_gaps(times):
-    """Return the first missing minute of each gap (ms), or empty list."""
+    """Return the first missing minute of each gap (ms) in the strictly
+    increasing `times`, or empty list."""
     times = np.asarray(times, dtype=np.int64)
-    deltas = np.diff(times)
-    idx = np.nonzero(deltas > MINUTE_MS)[0]
+    # the difference of increasing times is exact in uint64; in int64 it wraps
+    idx = np.flatnonzero(np.diff(times.view(np.uint64)) > MINUTE_MS)
     return [int(times[i] + MINUTE_MS) for i in idx]
 
 

@@ -39,9 +39,10 @@ class OUParams:
     sigma: float
 
     def validate(self):
-        if not (self.alpha > 0 and self.sigma > 0 and math.isfinite(self.mu)):
+        if not (0 < self.alpha < math.inf and 0 < self.sigma < math.inf
+                and math.isfinite(self.mu)):
             raise InvalidParams(
-                f"require alpha > 0, sigma > 0, mu finite; got {self}"
+                f"require finite alpha > 0, sigma > 0 and mu; got {self}"
             )
 
 

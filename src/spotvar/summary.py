@@ -79,14 +79,17 @@ def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSl
     every sample lands in exactly one slice.
     """
     check_n_years(n_years)
-    slices = []
-    year_idx = np.clip((series.times - epoch_start_ms) // YEAR_MS, 0, n_years - 1)
-    for k in range(n_years):
-        mask = year_idx == k
-        slices.append(
-            YearSlice(label=k + 1, series=VariationSeries(series.times[mask], series.values[mask]))
-        )
-    return slices
+    times, int64 = series.times, np.iinfo(np.int64)
+    # year k holds the sorted times from cut k to cut k + 1; the boundaries
+    # are Python ints, so neither they nor t - epoch wrap in int64
+    cuts = [0]
+    for k in range(1, n_years):
+        boundary = int(epoch_start_ms) + k * YEAR_MS
+        cuts.append(len(times) if boundary > int64.max
+                    else int(np.searchsorted(times, max(boundary, int64.min))))
+    cuts.append(len(times))
+    return [YearSlice(label=k + 1, series=VariationSeries(times[a:b], series.values[a:b]))
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
 
 def iqr(table: PercentileTable) -> float:

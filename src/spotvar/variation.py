@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
-from .ingest import PriceSeries, int64_times, read_series_csv, write_series_csv
+from .ingest import int64_times, read_series_csv, write_series_csv
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class VariationSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.times.shape != self.values.shape:
             raise ValueError("times/values length mismatch")
-        if len(self.times) and np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):  # np.diff wraps in int64
             raise NonMonotonicTimestamp("timestamps must be strictly increasing")
         bad = np.flatnonzero(~np.isfinite(self.values))
         if len(bad):
@@ -65,33 +65,43 @@ class VariationSeries:
         return cls(*read_series_csv(path, pool))
 
 
-def align(spot: PriceSeries, num: PriceSeries, den: PriceSeries) -> AlignedTriple:
-    """Strict intersection of the three timestamp sets; no interpolation."""
-    # PriceSeries timestamps are strictly increasing: a spot minute is common
-    # when each other leg holds it where searchsorted would insert it
-    common = np.ones(len(spot), dtype=bool)
-    positions = []
-    for leg in (num, den):
-        idx = np.searchsorted(leg.times, spot.times)
-        common &= leg.times[np.minimum(idx, len(leg) - 1)] == spot.times
-        positions.append(idx)
-    times = spot.times[common]
+def align(legs) -> AlignedTriple:
+    """Strict intersection of the timestamp sets of `legs`, an iterable of
+    the spot, num and den PriceSeries in that order; no interpolation.
+
+    Each leg is folded into the minutes common to the legs before it, then
+    released before the next is taken from `legs`, so a generator that
+    reads the legs on demand holds one at a time. EmptyIntersection is
+    raised only once every leg is taken: a later leg's own error comes
+    first."""
+    kept = []  # the common minutes, then each folded leg's closes at them
+    sizes, symbols = [], []
+    for leg in legs:
+        sizes.append(len(leg))
+        symbols.append(leg.symbol)
+        if not kept:
+            kept = [leg.times, leg.closes]
+        else:
+            # leg.times is strictly increasing: a kept minute is common when
+            # the leg holds it where searchsorted would insert it; a minute
+            # past the leg's end, clamped to its last index, misses there
+            idx = np.searchsorted(leg.times, kept[0])
+            np.minimum(idx, len(leg) - 1, out=idx)
+            hit = leg.times[idx] == kept[0]
+            if not hit.all():
+                for i in range(len(kept)):
+                    kept[i] = kept[i][hit]
+                idx = idx[hit]
+            kept.append(leg.closes[idx])
+            del idx, hit
+        del leg
+    if len(sizes) != 3:
+        raise ValueError(f"align takes the spot, num and den legs, got {len(sizes)}")
+    times = kept[0]
     if len(times) == 0:
-        raise EmptyIntersection(
-            f"no common timestamps across {spot.symbol}/{num.symbol}/{den.symbol}"
-        )
-    dropped = {
-        "spot": len(spot) - len(times),
-        "num": len(num) - len(times),
-        "den": len(den) - len(times),
-    }
-    return AlignedTriple(
-        times=times,
-        spot=spot.closes[common],
-        num=num.closes[positions[0][common]],
-        den=den.closes[positions[1][common]],
-        dropped=dropped,
-    )
+        raise EmptyIntersection(f"no common timestamps across {'/'.join(symbols)}")
+    dropped = {name: size - len(times) for name, size in zip(("spot", "num", "den"), sizes)}
+    return AlignedTriple(*kept, dropped=dropped)
 
 
 def compute_variation(triple: AlignedTriple) -> VariationSeries:

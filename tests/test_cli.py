@@ -113,6 +113,26 @@ class TestVariationCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "line 5:" in err[0], err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_den_is_reported_before_an_empty_intersection(self, tmp_path, capsys, workers):
+        """`align` reads den after spot and num have no minute in common,
+        and den's own load error, not the empty intersection, is reported."""
+        header, *rows = SAMPLE_LEGS["spot"].read_text().splitlines()
+        spot = tmp_path / "spot.csv"
+        spot.write_text("\n".join([header] + [
+            f"{int(t) + MINUTE_MS // 2},{c}" for t, c in (r.split(",") for r in rows)
+        ]) + "\n")
+        lines = SAMPLE_LEGS["den"].read_text().splitlines()
+        lines[6] = "12x,0.5"
+        den = tmp_path / "den.csv"
+        den.write_text("\n".join(lines) + "\n")
+        legs = dict(SAMPLE_LEGS, spot=spot, den=den)
+        argv = ["variation", *_leg_args(legs), "--workers", workers, "--out", str(tmp_path / "v")]
+        assert cli_entry(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].count("stage 'load'") == 1, err
+        assert "line 7:" in err[0] and "align" not in err[0], err
+
     def test_disjoint_timestamps_fail_at_align(self, tmp_path, legs_dir):
         _, paths = legs_dir
         shifted = tmp_path / "shifted.csv"
@@ -609,9 +629,24 @@ class TestExitCodes:
         (f"{FETCH} --backoff -1 --max-retries 1", 2),
         (f"{FETCH} --pause -1", 2),
         (f"{FETCH} --max-retries -1", 2),
+        # numpy seeds only from non-negative integers
+        ("ci --input VAR --seed -1", 2),
+        ("report --manifest SAMPLE --seed -1", 2),
+        ("SPOTVAR_SEED=-1 ci --input VAR", 2),
+        ("SPOTVAR_SEED=-1 report --manifest SAMPLE", 2),
+        ("report --manifest NEGATIVE_SEED", 2),
+        (f"{SIMULATE} --steps 10 --seed -1", 2),
+        # timestamps are int64 milliseconds
+        ("summarize --input VAR --epoch-start 99999999999999999999", 2),
+        ("report --manifest EPOCH_BEYOND_INT64", 2),
         ("dftest --input EXACT_FIT", 4),
+        # alpha and sigma overflow to infinity
+        ("fit --input VAR --dt 1e-320", 4),
+        ("simulate --alpha inf --mu 0 --sigma 0.001 --steps 10", 4),
+        ("simulate --alpha 0.8 --mu 0 --sigma inf --steps 10", 4),
     ])
-    def test_documented_exit_code(self, tmp_path, variation_csv, capsys, argv, code):
+    def test_documented_exit_code(self, tmp_path, variation_csv, capsys, monkeypatch,
+                                  argv, code):
         files = {"VAR": variation_csv}
         for name, text in (
             ("NOT_JSON", "{not json"),
@@ -638,11 +673,16 @@ class TestExitCodes:
              json.dumps({"inputs": dict(SAMPLE_INPUTS, extra=SAMPLE_INPUTS["spot"])})),
             # a setting nests in its section object, never under a dotted key
             ("TOP_LEVEL_DOTTED_KEY", json.dumps({"inputs": SAMPLE_INPUTS, "mc.replications": 20})),
+            ("NEGATIVE_SEED", json.dumps({"inputs": SAMPLE_INPUTS, "mc": {"master_seed": -1}})),
+            ("EPOCH_BEYOND_INT64",
+             json.dumps({"inputs": SAMPLE_INPUTS, "year_split": {"epoch_start_ms": 2**63}})),
             ("EXACT_FIT", EXACT_FIT),
         ):
             files[name] = tmp_path / name
             files[name].write_text(text)
         args = [str(files.get(a, a)) for a in argv.split()]
+        while "=" in args[0]:  # a leading NAME=value sets an environment variable
+            monkeypatch.setenv(*args.pop(0).split("=", 1))
         if args[0] == "simulate":
             args += ["--out", str(tmp_path / "sim.csv")]
         else:

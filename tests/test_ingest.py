@@ -715,3 +715,22 @@ def test_find_gaps_reports_first_missing_minute():
     t0 = 1504224000000
     times = [t0, t0 + MINUTE_MS, t0 + 4 * MINUTE_MS]
     assert find_gaps(times) == [t0 + 2 * MINUTE_MS]
+
+
+def test_find_gaps_across_the_int64_range():
+    # the int64 difference of these times wraps below 0
+    assert find_gaps([-2, 2**63 - 1]) == [-2 + MINUTE_MS]
+    assert find_gaps([2**63 - 1 - MINUTE_MS, 2**63 - 1]) == []
+
+
+class TestPriceSeriesOrder:
+    """Neighbouring times are compared, not differenced: the difference
+    of two int64 times can wrap."""
+
+    def test_times_far_apart_in_order_are_accepted(self):
+        series = PriceSeries("spot", [-2, 2**63 - 1], [1.0, 2.0])
+        assert series.times.tolist() == [-2, 2**63 - 1]
+
+    def test_times_far_apart_out_of_order_are_rejected(self):
+        with pytest.raises(NonMonotonicTimestamp):
+            PriceSeries("spot", [2**63 - 1, -2], [1.0, 2.0])

@@ -104,6 +104,30 @@ class TestSplitYears:
         assert slices[3].series.values.tolist() == [0.2]
 
 
+    @pytest.mark.parametrize("epoch, expected", [
+        # every minute lies more than four years after the epoch
+        (-9_223_372_036_854_775_000, [0, 0, 0, 100]),
+        (np.iinfo(np.int64).min, [0, 0, 0, 100]),
+        # every minute lies before it
+        (2**63 - 1, [100, 0, 0, 0]),
+    ])
+    def test_epochs_at_the_ends_of_int64_do_not_wrap(self, epoch, expected):
+        slices = split_years(_series(np.ones(100)), epoch, 4)
+        assert [len(s.series) for s in slices] == expected
+
+    @given(st.integers(-(2**63), 2**63 - 1), st.integers(1, 6),
+           st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_match_python_integer_years(self, epoch, n_years, times):
+        times = sorted(times)
+        series = VariationSeries(np.array(times, dtype=np.int64), np.arange(len(times), dtype=float))
+        slices = split_years(series, epoch, n_years)
+        year = [min(max((t - epoch) // YEAR_MS, 0), n_years - 1) for t in times]
+        assert [s.series.times.tolist() for s in slices] == [
+            [t for t, y in zip(times, year) if y == k] for k in range(n_years)
+        ]
+
+
 class TestIqr:
     def test_constant_is_zero(self):
         table = percentiles(_series([2.0] * 30), [25, 75])

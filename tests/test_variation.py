@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotvar import VariationSeries, align, compute_variation
-from spotvar.errors import EmptyIntersection, InvalidValue
+from spotvar.errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
 from spotvar.variation import AlignedTriple
 
 from conftest import MINUTE_MS, minute_grid, price_series
@@ -30,7 +31,7 @@ class TestAlign:
         a = price_series("spot", times, [0.07, 0.071, 0.072])
         b = price_series("num", times, [2100.0, 2110.0, 2120.0])
         c = price_series("den", times, [30000.0, 30100.0, 30200.0])
-        triple = align(a, b, c)
+        triple = align([a, b, c])
         assert len(triple.times) == 3
         assert triple.dropped == {"spot": 0, "num": 0, "den": 0}
 
@@ -39,7 +40,7 @@ class TestAlign:
         spot = price_series("spot", times[[0, 2]], [0.07, 0.072])
         num = price_series("num", times, [2100.0, 2110.0, 2120.0])
         den = price_series("den", times, [30000.0, 30100.0, 30200.0])
-        triple = align(spot, num, den)
+        triple = align([spot, num, den])
         assert triple.times.tolist() == [times[0], times[2]]
         assert triple.dropped == {"spot": 0, "num": 1, "den": 1}
         assert triple.num.tolist() == [2100.0, 2120.0]
@@ -48,7 +49,41 @@ class TestAlign:
         a = price_series("spot", minute_grid(T0, 3), [1.0, 1.0, 1.0])
         b = price_series("num", minute_grid(T0 + 10 * MINUTE_MS, 3), [1.0, 1.0, 1.0])
         with pytest.raises(EmptyIntersection):
-            align(a, b, a)
+            align([a, b, a])
+
+    def test_a_later_legs_error_comes_before_the_empty_intersection(self):
+        a = price_series("spot", minute_grid(T0, 3), [1.0, 1.0, 1.0])
+        b = price_series("num", minute_grid(T0 + 10 * MINUTE_MS, 3), [1.0, 1.0, 1.0])
+
+        def legs():
+            yield a
+            yield b
+            raise InvalidValue("den: unreadable")
+
+        with pytest.raises(InvalidValue, match="den"):
+            align(legs())
+
+    def test_each_leg_is_released_before_the_next_is_read(self):
+        times = minute_grid(T0, 5)
+        refs = []
+
+        def legs():
+            for name, t in (("spot", times), ("num", times[1:]), ("den", times)):
+                assert all(ref() is None for ref in refs), "an earlier leg is still held"
+                leg = price_series(name, t, np.ones(len(t)))
+                refs.append(weakref.ref(leg))
+                yield leg
+                del leg
+
+        triple = align(legs())
+        assert triple.times.tolist() == times[1:].tolist()
+        assert triple.dropped == {"spot": 1, "num": 0, "den": 1}
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_three_legs_exactly(self, count):
+        leg = price_series("spot", minute_grid(T0, 3), [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="spot, num and den"):
+            align([leg] * count)
 
     def test_randomized_subsets_match_set_intersection(self):
         rng = np.random.default_rng(3)
@@ -63,7 +98,7 @@ class TestAlign:
                 for i, s in enumerate(subsets)
             ]
             expected = set(subsets[0]) & set(subsets[1]) & set(subsets[2])
-            triple = align(*series)
+            triple = align(series)
             assert len(triple.times) == len(expected)
             assert set(triple.times.tolist()) == expected
 
@@ -87,9 +122,9 @@ class TestAlign:
         common = np.intersect1d(np.intersect1d(times[0], times[1]), times[2])
         if len(common) == 0:
             with pytest.raises(EmptyIntersection):
-                align(*legs)
+                align(legs)
             return
-        triple = align(*legs)
+        triple = align(legs)
         assert np.array_equal(triple.times, common)
         for name, leg in zip(("spot", "num", "den"), legs):
             assert np.array_equal(getattr(triple, name), leg.closes[np.isin(leg.times, common)])
@@ -152,6 +187,19 @@ class TestComputeVariation:
         num = rng.uniform(1000, 3000, 1000)
         den = rng.uniform(20000, 60000, 1000)
         assert np.all(np.abs((np.log(num) - np.log(den)) - np.log(num / den)) < 1e-14)
+
+
+class TestVariationSeriesOrder:
+    """Neighbouring times are compared, not differenced: the difference
+    of two int64 times can wrap."""
+
+    def test_times_far_apart_in_order_are_accepted(self):
+        var = VariationSeries(np.array([-2, 2**63 - 1]), np.array([0.1, 0.2]))
+        assert var.times.tolist() == [-2, 2**63 - 1]
+
+    def test_times_far_apart_out_of_order_are_rejected(self):
+        with pytest.raises(NonMonotonicTimestamp):
+            VariationSeries(np.array([2**63 - 1, -2]), np.array([0.1, 0.2]))
 
 
 class TestVariationSeriesCsv:
