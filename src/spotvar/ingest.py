@@ -38,6 +38,8 @@ PAGE_LIMIT = 1000
 # rows formatted per job of the CSV writer
 _WRITE_ROWS = 1 << 16
 _ROW = np.dtype([("t", np.int64), ("v", np.float64)])
+# bytes of a leg copied per read while its byte range is parsed
+_READ_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,8 @@ def _read_ranges(path, pool=None):
     """The rows of the seekable file at `path`, parsed in one byte range per
     worker of `pool`, or without a pool in one range, `[0, size)`, here;
     None if any range fails. The file is split at equal shares of its size,
-    each split moved to just after the next newline.
+    each split moved to just after the next newline. A range is copied for
+    numpy in blocks (`_parse_range`), so no process holds its bytes.
 
     Each range writes its times, then its values, to a file in a temporary
     directory, and this process reads them straight into the two columns.
@@ -190,33 +193,37 @@ def _parse_range(path, job):
     """Parse the rows in bytes [start, end) of the file at `path`, where
     `start` is 0 or follows a newline, write their times, then their
     values, to the file `out`, and return their count. The range's leading
-    lines that `_skipped` skips are dropped, and numpy parses a copy of the
-    rest, in `out`, to its end: any line it cannot parse, the range's last
-    included, makes it fail.
+    lines that `_skipped` skips are dropped, the rest is copied to `out` in
+    blocks of `_READ_BLOCK` bytes, and numpy parses the copy to its end:
+    any line it cannot parse, the range's last included, makes it fail.
+    The range's bytes are never held whole.
 
     Returns None where the per-line reader must decide instead: a line
     numpy rejects, one `_skipped` cannot read, or a lone carriage return
     (`_lone_cr`) in the range, which numpy would take for a line end and
     the leading-line split on newlines would not. A CRLF is one line end
-    to both, and numpy parses it."""
+    to both, and numpy parses it; a carriage return that ends a block is
+    carried to the next, whose first byte decides."""
     start, end, out = job
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb") as f, open(out, "wb") as copy:
             f.seek(start)
-            data = f.read(end - start)
-        if _lone_cr(data):
-            return None
-        at = 0
-        while at < len(data):
-            stop = data.find(b"\n", at) + 1 or len(data)
-            if not _skipped(data[at:stop].decode("utf-8", "surrogateescape").strip()):
-                break
-            at = stop
-        with open(out, "wb") as f:
-            f.write(memoryview(data)[at:])
-        empty = at == len(data)
-        del data  # freed while numpy parses the copy
-        parsed = np.empty(0, _ROW) if empty else _loadtxt(out)
+            line = f.readline(end - start)
+            while line and _skipped(line.decode("utf-8", "surrogateescape").strip()):
+                if _lone_cr(line):
+                    return None
+                line = f.readline(end - f.tell())
+            data = line  # the first line that is not skipped
+            for block in iter(lambda: f.read(min(_READ_BLOCK, end - f.tell())), b""):
+                data += block
+                body, data = (data[:-1], data[-1:]) if data.endswith(b"\r") else (data, b"")
+                if _lone_cr(body):
+                    return None
+                copy.write(body)
+            if _lone_cr(data):
+                return None
+            copy.write(data)
+        parsed = _loadtxt(out) if line else np.empty(0, _ROW)
         with open(out, "wb") as f:
             for name in ("t", "v"):
                 f.write(np.ascontiguousarray(parsed[name]))  # tofile writes a strided view slowly

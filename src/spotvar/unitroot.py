@@ -85,6 +85,20 @@ class AR1Fit:
     rss: float
 
 
+def _pairwise_sum(rows, n, start=0):
+    """The sum of the n values from `start` that `rows(start, stop)` returns
+    slice by slice, with the bits of `np.add.reduce` on all n at once.
+    numpy adds a contiguous float64 array along a fixed pairwise tree
+    (`pairwise_sum` in its `loops_utils.h.src`), splitting n at n // 2
+    rounded down to a multiple of 8; a subtree's sum depends only on its
+    own values. Here the split stops at subtrees of at most _DOT_SLICE
+    rows, and `np.add.reduce` adds each along the same tree from there."""
+    if n <= _DOT_SLICE:
+        return float(np.add.reduce(rows(start, start + n)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(rows, half, start) + _pairwise_sum(rows, n - half, start + half)
+
+
 def ar1_regression(series, variant: DFModel) -> AR1Fit:
     """Least-squares regression of dY_t on Y_{t-1} plus the deterministic
     terms of `variant`: the one core behind every Dickey-Fuller model and
@@ -98,37 +112,49 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     Raises InsufficientData when rows <= regressors and RankDeficient when
     the lag is numerically a deterministic term.
 
-    The difference is the one array as long as the series that it
-    allocates. Every sum of products runs through `_slice_sums`; each slice
-    centers and projects its lag in slice-sized scratch and its response in
-    place in the difference, with the floating-point operations of the
-    whole-array form. The input series is never written.
+    The core allocates only slice scratch: each pass forms its slice of the
+    lag and of the difference anew, and the last slice's are handed on to
+    the next pass. Every sum of products runs through `_slice_sums`, and
+    each slice is centered and projected with the floating-point operations
+    of the whole-array form. The difference's mean keeps the bits of
+    `np.diff(v).mean()`: `_pairwise_sum` adds the slices along numpy's own
+    summation tree. The input series is never written.
     """
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
-    y = np.diff(v)
-    n = len(y)
+    n = len(v) - 1
     k = {DFModel.NO_CONST: 1, DFModel.CONST: 2, DFModel.CONST_TREND: 3}[variant]
     if n < k + 1:
         raise InsufficientData(f"{n} rows for {k} regressors")
     x_mean = y_mean = trend_term = 0.0
-    if variant is not DFModel.NO_CONST:
-        # whole-array means: numpy's pairwise sum depends on the whole array
-        x_mean, y_mean = float(v[:-1].mean()), float(y.mean())
     norm = tx = ty = None  # the trend's norm and its dots with the centered rows
+    last = (n - 1) // _DOT_SLICE * _DOT_SLICE  # the last slice's first row
+    kept = {}  # the last slice's rows, handed on to the next pass
 
-    def lag(start, stop, projected=False):
-        """Rows start..stop of the lag less its mean, in a new array, and,
-        under model (c), of the unit-norm trend, with the lag projected off
-        it if `projected`. Model (a)'s mean is 0.0, and x - 0.0 is x."""
-        x = v[start:stop] - x_mean
-        if norm is None:
-            return x, None
-        t = (steps[:stop - start] + (start - half)) / norm
-        if projected:
+    def rows(start, stop, stage):
+        """Rows start..stop of the lag, the unit-norm trend (None but under
+        model (c)) and the difference, in new arrays, brought to `stage`:
+        0, the difference alone; 1, each less its mean (model (a)'s means
+        are 0.0, and x - 0.0 is x); 2, the lag and the difference projected
+        off the trend too. The last slice's are taken where the last pass
+        left them and kept for the next."""
+        done, x, t, dy = kept.pop(start, None) or (
+            0, None, None, v[start + 1:stop + 1] - v[start:stop])
+        if done < 1 <= stage:
+            x = v[start:stop] - x_mean
+            dy -= y_mean
+            if norm is not None:
+                t = (steps[:stop - start] + (start - half)) / norm
+        if done < 2 <= stage and t is not None:
             x -= tx * t
-        return x, t
+            dy -= ty * t
+        if (start, stop) == (last, n):
+            kept[start] = max(done, stage), x, t, dy
+        return x, t, dy
 
-    kept = {}  # the last slice's lag and trend, handed on to the next pass
+    if variant is not DFModel.NO_CONST:
+        x_mean = float(v[:-1].mean())
+        # divided as np.mean divides
+        y_mean = _pairwise_sum(lambda start, stop: rows(start, stop, 0)[2], n) / n
 
     if variant is DFModel.CONST_TREND:
         # rows start..stop of the centered trend t - (n + 1) / 2, t = 1..n,
@@ -141,10 +167,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
             return [float(t @ t)]
 
         def trend_dots(start, stop):
-            kept.clear()
-            x, t = kept[start] = lag(start, stop)
-            dy = y[start:stop]
-            dy -= y_mean
+            x, t, dy = rows(start, stop, 1)
             return [float(t @ x), float(t @ dy)]
 
         norm = math.sqrt(_slice_sums(n, trend_square)[0])
@@ -152,15 +175,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
 
     def normal_equations(start, stop):
         raw = v[start:stop]
-        x, t = kept.pop(start, None) or lag(start, stop)
-        dy = y[start:stop]
-        if t is not None:
-            x -= tx * t
-            dy -= ty * t  # trend_dots centered it
-        elif variant is DFModel.CONST:
-            dy -= y_mean
-        kept.clear()
-        kept[start] = x, t
+        x, _, dy = rows(start, stop, 2)
         return [float(raw @ raw), float(x @ x), float(x @ dy)]
 
     x_square, xx, xy = _slice_sums(n, normal_equations)
@@ -169,9 +184,9 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     delta = xy / xx
 
     def residual_square(start, stop):
-        x, _ = kept.pop(start, None) or lag(start, stop, projected=True)
+        x, _, dy = rows(start, stop, 2)
         x *= delta
-        np.subtract(y[start:stop], x, out=x)  # the residual, in the lag's array
+        np.subtract(dy, x, out=x)  # the residual, in the lag's array
         return [float(x @ x)]
 
     (rss,) = _slice_sums(n, residual_square)

@@ -459,6 +459,26 @@ class TestRangeReader:
                 assert ranges is None
         _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_carriage_returns_on_block_boundaries(self, monkeypatch, tmp_path, block):
+        """Each range is copied in blocks of a few bytes, so a CRLF and a
+        lone carriage return fall on every block boundary. A CRLF split by
+        a block end is one line end: every range parses the file. A lone
+        carriage return at the end of any of the 40 lines hands the file
+        to the per-line reader, at 1, 2 and 3 workers."""
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        rows = _rows(40)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes("".join(f"{row}\r\n" for row in rows).encode())
+        with fork_pool(3) as pool:  # forked after the patch
+            for split in (None, Pool(pool.executor, 2), pool):
+                _assert_same_outcome(ingest._read_ranges(str(crlf), split), _per_line_outcome(crlf))
+                for k in range(len(rows)):
+                    lone = tmp_path / "lone.csv"
+                    lone.write_bytes("".join(f"{row}\r" if i == k else f"{row}\r\n"
+                                             for i, row in enumerate(rows)).encode())
+                    assert ingest._read_ranges(str(lone), split) is None
+
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 # the magnitudes whose digits `csvrows` computes itself, and a little beyond

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_ar1_regression, whole_array_ar1_regression
 from spotvar import (
@@ -20,7 +22,7 @@ from spotvar.errors import (
     RankDeficient,
     SeriesTooShort,
 )
-from spotvar.unitroot import _slice_sums
+from spotvar.unitroot import _pairwise_sum, _slice_sums
 
 
 class TestAR1Regression:
@@ -75,11 +77,13 @@ class TestAR1Regression:
             ar1_regression(np.array([1.0, 2.0, 4.0]), DFModel.CONST_TREND)
 
     @pytest.mark.parametrize("model", list(DFModel))
-    @pytest.mark.parametrize("rows", [9_999, 10_000, 10_001, 20_001, 2_093_753])
+    @pytest.mark.parametrize("rows", [9_999, 10_000, 10_001, 20_001, 25_001, 123_457, 2_093_753])
     def test_same_bits_as_the_whole_array_core(self, model, rows):
         """Slice by slice, the core computes what it computed on whole-length
         arrays, bit for bit: one row short of a slice, one slice, one row
-        past it, two slices and a row, and the paper's sample size."""
+        past it, two slices and a row, and the paper's sample size. At
+        25,001 and 123,457 rows the leaves of the difference's summation
+        tree fall off the 10,000-row grid, three or more levels down."""
         params = OUParams(alpha=0.8, mu=-2e-5, sigma=0.0017)
         path = simulate_path(params, 3e-3, rows, 1.0, rng_seed=rows)
         fit = ar1_regression(path, model)
@@ -87,6 +91,23 @@ class TestAR1Regression:
         expected = whole_array_ar1_regression(path, model)
         assert got[0] == expected[0] == rows
         assert [x.hex() for x in got[1:]] == [x.hex() for x in expected[1:]]
+
+
+class TestPairwiseSum:
+    """`_pairwise_sum` adds slices of the difference along numpy's own
+    summation tree, so the core's mean of the difference has the bits of
+    the whole-array mean."""
+
+    @given(n=st.integers(2, 70_000), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([0.0, 0.1, 0.9, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_whole_difference_mean(self, n, seed, zeros):
+        # magnitudes from 1e-8 to 1e8 of both signs, and a share of zeros
+        rng = np.random.default_rng(seed)
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+        v[rng.random(n) < zeros] *= 0.0  # signed zeros
+        got = _pairwise_sum(lambda start, stop: v[start + 1:stop + 1] - v[start:stop], n - 1)
+        assert (got / (n - 1)).hex() == float(np.diff(v).mean()).hex()
 
 
 def sliced_dot(a, b):
