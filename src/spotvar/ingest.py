@@ -193,17 +193,16 @@ def _parse_range(path, job):
     """Parse the rows in bytes [start, end) of the file at `path`, where
     `start` is 0 or follows a newline, write their times, then their
     values, to the file `out`, and return their count. The range's leading
-    lines that `_skipped` skips are dropped, the rest is copied to `out` in
-    blocks of `_READ_BLOCK` bytes, and numpy parses the copy to its end:
-    any line it cannot parse, the range's last included, makes it fail.
-    The range's bytes are never held whole.
+    lines that `_skipped` skips are dropped, the rest is copied verbatim to
+    `out` in blocks of `_READ_BLOCK` bytes, and numpy parses the copy to
+    its end: any line it cannot parse, the range's last included, makes it
+    fail. The range's bytes are never held whole.
 
     Returns None where the per-line reader must decide instead: a line
     numpy rejects, one `_skipped` cannot read, or a lone carriage return
-    (`_lone_cr`) in the range, which numpy would take for a line end and
-    the leading-line split on newlines would not. A CRLF is one line end
-    to both, and numpy parses it; a carriage return that ends a block is
-    carried to the next, whose first byte decides."""
+    (`_lone_cr`) in a leading line. numpy opens the copy as text, with
+    Python's universal newlines, as the per-line reader opens the file, so
+    both end a line at a CRLF, a newline or a lone carriage return."""
     start, end, out = job
     try:
         with open(path, "rb") as f, open(out, "wb") as copy:
@@ -213,16 +212,8 @@ def _parse_range(path, job):
                 if _lone_cr(line):
                     return None
                 line = f.readline(end - f.tell())
-            data = line  # the first line that is not skipped
-            for block in iter(lambda: f.read(min(_READ_BLOCK, end - f.tell())), b""):
-                data += block
-                body, data = (data[:-1], data[-1:]) if data.endswith(b"\r") else (data, b"")
-                if _lone_cr(body):
-                    return None
-                copy.write(body)
-            if _lone_cr(data):
-                return None
-            copy.write(data)
+            copy.write(line)  # the first line that is not skipped
+            copy.writelines(iter(lambda: f.read(min(_READ_BLOCK, end - f.tell())), b""))
         parsed = _loadtxt(out) if line else np.empty(0, _ROW)
         with open(out, "wb") as f:
             for name in ("t", "v"):

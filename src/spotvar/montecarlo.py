@@ -119,13 +119,12 @@ def confidence_intervals(samples: McSamples, confidence, point: OUParams) -> CIR
     """Empirical quantiles at (1-c)/2 and (1+c)/2 per parameter
     (linear-interpolation quantiles, same method as the summary tables)."""
     vectors = {"alpha": samples.alpha, "mu": samples.mu, "sigma": samples.sigma}
-    for name, vec in vectors.items():
-        if len(vec) < 2:
-            raise InsufficientReplications(f"{name}: need >= 2 estimates")
     lo_q = 100 * (1 - confidence) / 2
     hi_q = 100 * (1 + confidence) / 2
     lower, upper = {}, {}
     for name, vec in vectors.items():
+        if len(vec) < 2:
+            raise InsufficientReplications(f"{name}: need >= 2 estimates")
         lower[name] = float(np.percentile(vec, lo_q, method="linear"))
         upper[name] = float(np.percentile(vec, hi_q, method="linear"))
     return CIReport(

@@ -56,9 +56,15 @@ class TransitionParams:
 
 
 def transition_params(params: OUParams, dt=1.0) -> TransitionParams:
-    """The law of one step of `dt`; `params` must have passed `validate`."""
+    """The law of one step of `dt`; `params` must have passed `validate`.
+    Raises NumericalBreakdown when the conditional variance overflows."""
     omega = math.exp(-params.alpha * dt)
-    cond_var = params.sigma**2 * (1 - omega**2) / (2 * params.alpha)
+    try:
+        cond_var = params.sigma**2 * (1 - omega**2) / (2 * params.alpha)
+    except OverflowError:  # sigma**2 beyond the largest float
+        cond_var = math.inf
+    if not math.isfinite(cond_var):
+        raise NumericalBreakdown(f"conditional variance overflows: {params}, dt={dt}")
     return TransitionParams(omega=omega, cond_sd=math.sqrt(cond_var))
 
 
@@ -100,6 +106,8 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
     if not dt > 0:
         raise InvalidArgument(f"dt must be > 0, got {dt}")
+    if not math.isfinite(v0):
+        raise InvalidArgument(f"v0 must be finite, got {v0}")
     if out is None:
         out = np.empty(n_steps + 1)
     elif not (isinstance(out, np.ndarray) and out.shape == (n_steps + 1,)

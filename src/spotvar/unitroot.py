@@ -113,12 +113,12 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     the lag is numerically a deterministic term.
 
     The core allocates only slice scratch: each pass forms its slice of the
-    lag and of the difference anew, and the last slice's are handed on to
-    the next pass. Every sum of products runs through `_slice_sums`, and
-    each slice is centered and projected with the floating-point operations
-    of the whole-array form. The difference's mean keeps the bits of
-    `np.diff(v).mean()`: `_pairwise_sum` adds the slices along numpy's own
-    summation tree. The input series is never written.
+    lag and of the difference anew. Every sum of products runs through
+    `_slice_sums`, and each slice is centered and projected with the
+    floating-point operations of the whole-array form. The difference's
+    mean keeps the bits of `np.diff(v).mean()`: `_pairwise_sum` adds the
+    slices along numpy's own summation tree. The input series is never
+    written.
     """
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
     n = len(v) - 1
@@ -127,34 +127,25 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
         raise InsufficientData(f"{n} rows for {k} regressors")
     x_mean = y_mean = trend_term = 0.0
     norm = tx = ty = None  # the trend's norm and its dots with the centered rows
-    last = (n - 1) // _DOT_SLICE * _DOT_SLICE  # the last slice's first row
-    kept = {}  # the last slice's rows, handed on to the next pass
 
-    def rows(start, stop, stage):
-        """Rows start..stop of the lag, the unit-norm trend (None but under
-        model (c)) and the difference, in new arrays, brought to `stage`:
-        0, the difference alone; 1, each less its mean (model (a)'s means
-        are 0.0, and x - 0.0 is x); 2, the lag and the difference projected
-        off the trend too. The last slice's are taken where the last pass
-        left them and kept for the next."""
-        done, x, t, dy = kept.pop(start, None) or (
-            0, None, None, v[start + 1:stop + 1] - v[start:stop])
-        if done < 1 <= stage:
-            x = v[start:stop] - x_mean
-            dy -= y_mean
-            if norm is not None:
-                t = (steps[:stop - start] + (start - half)) / norm
-        if done < 2 <= stage and t is not None:
+    def rows(start, stop, projected=True):
+        """Rows start..stop of the lag and the difference, each less its
+        mean (model (a)'s means are 0.0, and x - 0.0 is x), and of the
+        unit-norm trend (None but under model (c)), in new arrays; the lag
+        and the difference projected off the trend when `projected`."""
+        x = v[start:stop] - x_mean
+        dy = v[start + 1:stop + 1] - v[start:stop]
+        dy -= y_mean
+        t = None if norm is None else (steps[:stop - start] + (start - half)) / norm
+        if projected and t is not None:
             x -= tx * t
             dy -= ty * t
-        if (start, stop) == (last, n):
-            kept[start] = max(done, stage), x, t, dy
         return x, t, dy
 
     if variant is not DFModel.NO_CONST:
         x_mean = float(v[:-1].mean())
         # divided as np.mean divides
-        y_mean = _pairwise_sum(lambda start, stop: rows(start, stop, 0)[2], n) / n
+        y_mean = _pairwise_sum(lambda start, stop: v[start + 1:stop + 1] - v[start:stop], n) / n
 
     if variant is DFModel.CONST_TREND:
         # rows start..stop of the centered trend t - (n + 1) / 2, t = 1..n,
@@ -167,7 +158,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
             return [float(t @ t)]
 
         def trend_dots(start, stop):
-            x, t, dy = rows(start, stop, 1)
+            x, t, dy = rows(start, stop, projected=False)
             return [float(t @ x), float(t @ dy)]
 
         norm = math.sqrt(_slice_sums(n, trend_square)[0])
@@ -175,7 +166,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
 
     def normal_equations(start, stop):
         raw = v[start:stop]
-        x, _, dy = rows(start, stop, 2)
+        x, _, dy = rows(start, stop)
         return [float(raw @ raw), float(x @ x), float(x @ dy)]
 
     x_square, xx, xy = _slice_sums(n, normal_equations)
@@ -184,7 +175,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
     delta = xy / xx
 
     def residual_square(start, stop):
-        x, _, dy = rows(start, stop, 2)
+        x, _, dy = rows(start, stop)
         x *= delta
         np.subtract(dy, x, out=x)  # the residual, in the lag's array
         return [float(x @ x)]
@@ -200,11 +191,7 @@ def ar1_regression(series, variant: DFModel) -> AR1Fit:
 def critical_value(variant: DFModel, n):
     """Tabulated 1% tau critical value at the largest bucket <= n."""
     table = _CRITICAL_1PCT[variant]
-    chosen = table[0][1]
-    for bucket, cv in table:
-        if n >= bucket:
-            chosen = cv
-    return chosen
+    return next((cv for bucket, cv in reversed(table) if n >= bucket), table[0][1])
 
 
 def df_test(series, variant: DFModel) -> DFResult:

@@ -644,6 +644,11 @@ class TestExitCodes:
         ("fit --input VAR --dt 1e-320", 4),
         ("simulate --alpha inf --mu 0 --sigma 0.001 --steps 10", 4),
         ("simulate --alpha 0.8 --mu 0 --sigma inf --steps 10", 4),
+        # sigma**2 overflows, so the conditional variance does
+        ("simulate --alpha 1 --mu 0 --sigma 1e200 --steps 5", 4),
+        # a path from a non-finite start is rejected before any draw
+        (f"{SIMULATE} --steps 10 --v0 inf", 2),
+        (f"{SIMULATE} --steps 10 --v0 nan", 2),
     ])
     def test_documented_exit_code(self, tmp_path, variation_csv, capsys, monkeypatch,
                                   argv, code):

@@ -351,7 +351,8 @@ def _spec(lines, end="\n", workers=3):
 
 
 # a row, a lone carriage return and a row on the line at index 20 of 40, inside
-# the second of three ranges, which `_lone_cr` hands to the per-line reader
+# the second of three ranges: numpy ends a line at the carriage return, as the
+# per-line reader does, and the ranges parse the file
 _LONE_CR_IN_RANGE = _rows(40)
 _LONE_CR_IN_RANGE[20] = "1200000,1.5\r1200001,2.5"
 
@@ -461,23 +462,23 @@ class TestRangeReader:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_carriage_returns_on_block_boundaries(self, monkeypatch, tmp_path, block):
-        """Each range is copied in blocks of a few bytes, so a CRLF and a
-        lone carriage return fall on every block boundary. A CRLF split by
-        a block end is one line end: every range parses the file. A lone
-        carriage return at the end of any of the 40 lines hands the file
-        to the per-line reader, at 1, 2 and 3 workers."""
+        """Each range is copied verbatim in blocks of a few bytes, so a CRLF
+        and a lone carriage return fall on every block boundary. numpy ends
+        a line at both, as the per-line reader does: a CRLF file of 40
+        rows, and one where a lone carriage return ends any one of its
+        lines, parse in byte ranges to the per-line reader's rows, at 1, 2
+        and 3 workers."""
         monkeypatch.setattr(ingest, "_READ_BLOCK", block)
         rows = _rows(40)
-        crlf = tmp_path / "crlf.csv"
-        crlf.write_bytes("".join(f"{row}\r\n" for row in rows).encode())
         with fork_pool(3) as pool:  # forked after the patch
             for split in (None, Pool(pool.executor, 2), pool):
-                _assert_same_outcome(ingest._read_ranges(str(crlf), split), _per_line_outcome(crlf))
-                for k in range(len(rows)):
-                    lone = tmp_path / "lone.csv"
-                    lone.write_bytes("".join(f"{row}\r" if i == k else f"{row}\r\n"
+                for k in (None, *range(len(rows))):  # the line that ends in a lone CR
+                    path = tmp_path / "cr.csv"
+                    path.write_bytes("".join(f"{row}\r" if i == k else f"{row}\r\n"
                                              for i, row in enumerate(rows)).encode())
-                    assert ingest._read_ranges(str(lone), split) is None
+                    serial = _per_line_outcome(path)
+                    assert len(serial[0]) == len(rows)
+                    _assert_same_outcome(ingest._read_ranges(str(path), split), serial)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)

@@ -27,6 +27,7 @@ from spotvar.errors import (
     InvalidArgument,
     InvalidParams,
     NonMeanReverting,
+    NumericalBreakdown,
     SeriesTooShort,
 )
 from spotvar.ou import _linear_filter, transition_params
@@ -87,6 +88,23 @@ class TestSimulatePath:
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             simulate_path(OUParams(0.0, 0.0, 1.0), 0.0, 10)
+
+    @pytest.mark.parametrize("v0", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_start_is_rejected_before_any_draw(self, v0):
+        buf = np.full(11, 7.0)
+        with pytest.raises(InvalidArgument, match="v0"):
+            simulate_path(PARAMS, v0, 10, out=buf)
+        assert (buf == 7.0).all()
+
+    # sigma**2 raises OverflowError; sigma**2 * (1 - omega**2) / (2 * alpha)
+    # overflows to inf without one
+    @pytest.mark.parametrize("params, dt", [(OUParams(1.0, 0.0, 1e200), 1.0),
+                                            (OUParams(1e-20, 0.0, 1e150), 1e10)])
+    def test_an_overflowing_conditional_variance_is_a_numeric_error(self, params, dt):
+        with pytest.raises(NumericalBreakdown):
+            simulate_path(params, 0.0, 5, dt)
+        with pytest.raises(NumericalBreakdown):
+            log_likelihood(params, [0.0, 1.0, 0.5], dt)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 5000, 20001])
     def test_out_buffer_is_bit_equal_to_a_fresh_path(self, n_steps):
