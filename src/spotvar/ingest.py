@@ -1,15 +1,13 @@
 """Kline ingestion: Binance CSV archives and the klines REST endpoint.
 
-Produces validated close-price series. The close ("ending price at the
-interval") is the only field consumed downstream; timestamps are UTC
-milliseconds throughout. Missing minutes are reported as GapWarning and
-never interpolated.
+Produces validated close-price series; `read_series_csv` reads both leg
+formats. The close ("ending price at the interval") is the only field
+consumed downstream; timestamps are UTC milliseconds throughout. Missing
+minutes of kline legs and fetched series warn (GapWarning), never filled.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import tempfile
 import time
@@ -38,6 +36,10 @@ PAGE_LIMIT = 1000
 # rows formatted per job of the CSV writer
 _WRITE_ROWS = 1 << 16
 _ROW = np.dtype([("t", np.int64), ("v", np.float64)])
+# a kline row's first seven fields, the open time and close named as in `_ROW`
+_KLINE = np.dtype([("t", np.int64), ("open", np.float64), ("high", np.float64),
+                   ("low", np.float64), ("v", np.float64), ("volume", np.float64),
+                   ("close_time", np.int64)])
 # bytes of a leg copied per read while its byte range is parsed
 _READ_BLOCK = 1 << 20
 
@@ -103,28 +105,29 @@ def _format_rows(chunk):
     return format_rows(*chunk)
 
 
-def read_series_csv(path, pool=None):
-    """Read the file at `path`, a two-column `time,value` CSV, into
-    C-contiguous int64 times and float64 values. Blank lines, `#` comments
-    and an `open_time_ms` header are skipped. A line that is not UTF-8 or
-    not two numbers raises MalformedRow; a time outside the int64 range
-    raises InvalidValue.
+def read_series_csv(path, pool=None, kline=False):
+    """Read the file at `path`, a two-column `time,value` CSV or, with
+    `kline`, a Binance kline CSV (`_kline_row`), into C-contiguous int64
+    times and float64 values. Both formats skip blank lines, `#` comments
+    and an `open_time_ms` header, and split fields at every comma: no CSV
+    quoting. A line that is not UTF-8 or not a row raises MalformedRow; a
+    time outside the int64 range raises InvalidValue.
 
     numpy's C parser reads the file in byte ranges (`_read_ranges`), one
     per worker of `pool`, or one here without a pool. Each range is parsed
     from its own bytes to its end, so every line reaches numpy, whatever
-    the worker count. With its deprecation warnings raised as errors numpy
-    accepts no input the per-line reader rejects: numpy before 2.0 reads
-    an integer field such as `1.0`, `1e3` or one beyond int64 through a
-    float and only warns. If any range fails, or the file's size reads 0,
-    as a pipe's does, the per-line reader reads the file once, start to
-    end, and decides: what it accepts, and the error and line number it
-    reports."""
-    rows = _read_ranges(path, pool) if os.path.getsize(path) else None
+    the worker count; a kline range's rows are then checked by column.
+    With its deprecation warnings raised as errors numpy accepts no input
+    the per-line reader rejects: numpy before 2.0 reads an integer field
+    such as `1.0`, `1e3` or one beyond int64 through a float and only
+    warns. If any range fails, or the file's size reads 0, as a pipe's
+    does, the per-line reader reads the file once, start to end, and
+    decides: what it accepts, and the error and line number it reports."""
+    rows = _read_ranges(path, pool, kline) if os.path.getsize(path) else None
     if rows is not None:
         return rows
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
-        times, values = _read_rows(f)
+        times, values = _read_rows(f, _FORMATS[kline][2])
     return int64_times(times), np.asarray(values, dtype=np.float64)
 
 
@@ -136,27 +139,19 @@ def _skipped(line):
     return not line or line.startswith("#") or line.lower().startswith("open_time_ms")
 
 
-def _loadtxt(path):
-    """Rows of the file at `path` parsed by numpy into a structured array,
-    deprecation warnings raised as errors."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None, ndmin=1,
-                          encoding="utf-8")
-
-
 def _lone_cr(data):
     """Whether `data` holds a carriage return that is not part of a CRLF:
     numpy ends a line there, and a split on newlines does not."""
     return b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
 
 
-def _read_ranges(path, pool=None):
-    """The rows of the seekable file at `path`, parsed in one byte range per
-    worker of `pool`, or without a pool in one range, `[0, size)`, here;
-    None if any range fails. The file is split at equal shares of its size,
-    each split moved to just after the next newline. A range is copied for
-    numpy in blocks (`_parse_range`), so no process holds its bytes.
+def _read_ranges(path, pool=None, kline=False):
+    """The rows of the seekable file at `path`, a kline CSV if `kline`,
+    parsed in one byte range per worker of `pool`, or without a pool in one
+    range, `[0, size)`, here; None if any range fails. The file is split at
+    equal shares of its size, each split moved to just after the next
+    newline. A range is copied for numpy in blocks (`_parse_range`), so no
+    process holds its bytes.
 
     Each range writes its times, then its values, to a file in a temporary
     directory, and this process reads them straight into the two columns.
@@ -176,7 +171,7 @@ def _read_ranges(path, pool=None):
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, str(k)) for k in range(n)]
         jobs = zip(bounds, bounds[1:], outs)
-        counts = list(pool_map(pool, partial(_parse_range, path), jobs))
+        counts = list(pool_map(pool, partial(_parse_range, path, kline), jobs))
         if None in counts or not sum(counts):
             return None
         columns = np.empty(sum(counts), np.int64), np.empty(sum(counts), np.float64)
@@ -189,21 +184,23 @@ def _read_ranges(path, pool=None):
         return columns
 
 
-def _parse_range(path, job):
-    """Parse the rows in bytes [start, end) of the file at `path`, where
-    `start` is 0 or follows a newline, write their times, then their
-    values, to the file `out`, and return their count. The range's leading
-    lines that `_skipped` skips are dropped, the rest is copied verbatim to
-    `out` in blocks of `_READ_BLOCK` bytes, and numpy parses the copy to
-    its end: any line it cannot parse, the range's last included, makes it
-    fail. The range's bytes are never held whole.
+def _parse_range(path, kline, job):
+    """Parse the rows in bytes [start, end) of the file at `path`, a kline
+    CSV if `kline`, where `start` is 0 or follows a newline, write their
+    times, then their values, to the file `out`, and return their count.
+    The range's leading lines that `_skipped` skips are dropped, the rest is
+    copied verbatim to `out` in blocks of `_READ_BLOCK` bytes, and numpy
+    parses the copy to its end: any line it cannot parse, the range's last
+    included, makes it fail. The range's bytes are never held whole.
 
     Returns None where the per-line reader must decide instead: a line
-    numpy rejects, one `_skipped` cannot read, or a lone carriage return
+    numpy rejects, one `_skipped` cannot read, a kline row without positive,
+    finite prices that pass `_kline_row`'s checks, or a lone carriage return
     (`_lone_cr`) in a leading line. numpy opens the copy as text, with
     Python's universal newlines, as the per-line reader opens the file, so
     both end a line at a CRLF, a newline or a lone carriage return."""
     start, end, out = job
+    dtype, usecols, _ = _FORMATS[kline]
     try:
         with open(path, "rb") as f, open(out, "wb") as copy:
             f.seek(start)
@@ -214,7 +211,17 @@ def _parse_range(path, job):
                 line = f.readline(end - f.tell())
             copy.write(line)  # the first line that is not skipped
             copy.writelines(iter(lambda: f.read(min(_READ_BLOCK, end - f.tell())), b""))
-        parsed = _loadtxt(out) if line else np.empty(0, _ROW)
+        if not line:  # only skipped lines: `out` is empty
+            return 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            parsed = np.loadtxt(out, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                                encoding="utf-8", usecols=usecols)
+        if kline:  # low > 0 and high < inf bound the prices they bracket; nan fails all
+            low, high, o, c = (parsed[k] for k in ("low", "high", "open", "v"))
+            if not np.all((low > 0) & (high < np.inf) & (low <= np.minimum(o, c))
+                          & (high >= np.maximum(o, c)) & (parsed["close_time"] > parsed["t"])):
+                return None
         with open(out, "wb") as f:
             for name in ("t", "v"):
                 f.write(np.ascontiguousarray(parsed[name]))  # tofile writes a strided view slowly
@@ -223,17 +230,18 @@ def _parse_range(path, job):
         return None
 
 
-def _read_rows(f):
-    """The per-line reader: lists of int times and float values."""
+def _read_rows(f, row):
+    """The per-line reader: lists of int times and float values, a pair from
+    `row` per line; a ValueError from `row` is MalformedRow at its line."""
     times, values = [], []
     for i, line in enumerate(f, start=1):
         try:
             line = line.strip()
             if _skipped(line):
                 continue
-            t, v = line.split(",")
-            times.append(int(t))
-            values.append(float(v))
+            t, v = row(line)
+            times.append(t)
+            values.append(v)
         except UnicodeEncodeError as exc:
             raise MalformedRow(i, "not UTF-8 text") from exc
         except ValueError as exc:
@@ -241,6 +249,34 @@ def _read_rows(f):
     if not times:
         raise EmptyInput("no data rows")
     return times, values
+
+
+def _series_row(line):
+    t, v = line.split(",")
+    return int(t), float(v)
+
+
+def _kline_row(line):
+    """The open time and close of a Binance kline row: open_time, open, high,
+    low, close, volume, close_time, .... Prices must be strictly positive and
+    bracketed by low/high, and close_time must follow open_time."""
+    fields = line.split(",")
+    if len(fields) < 7:
+        raise ValueError(f"expected >= 7 fields, got {len(fields)}")
+    open_time = int(fields[0])
+    open_, high, low, close, _volume = map(float, fields[1:6])
+    close_time = int(fields[6])
+    if any(p <= 0 for p in (open_, high, low, close)):
+        raise ValueError("non-positive price")
+    if low > min(open_, close) or high < max(open_, close):
+        raise ValueError("low/high do not bracket open/close")
+    if close_time <= open_time:
+        raise ValueError("close_time must exceed open_time")
+    return open_time, close
+
+
+# by format, kline or not: numpy's dtype and columns, and the per-line row
+_FORMATS = {False: (_ROW, None, _series_row), True: (_KLINE, range(7), _kline_row)}
 
 
 def int64_times(times):
@@ -271,64 +307,23 @@ def _warn_gaps(symbol, times):
         )
 
 
-def parse_klines(raw, symbol):
-    """Parse `raw`, the bytes of a Binance kline CSV, into a PriceSeries.
-
-    Rows have >= 7 comma-separated fields in Binance archive order
-    (open_time, open, high, low, close, volume, close_time, ...). Prices
-    must be strictly positive and bracketed by low/high, and close_time
-    must follow open_time. Rows are sorted by open_time; duplicate
-    timestamps are rejected.
-    """
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
-
-    rows = []
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for fields in reader:
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
-                continue
-            if len(fields) < 7:
-                raise MalformedRow(reader.line_num, f"expected >= 7 fields, got {len(fields)}")
-            try:
-                open_time = int(fields[0])
-                open_, high, low, close, _volume = map(float, fields[1:6])
-                close_time = int(fields[6])
-                if any(p <= 0 for p in (open_, high, low, close)):
-                    raise ValueError("non-positive price")
-                if low > min(open_, close) or high < max(open_, close):
-                    raise ValueError("low/high do not bracket open/close")
-                if close_time <= open_time:
-                    raise ValueError("close_time must exceed open_time")
-            except (ValueError, OverflowError) as exc:
-                raise MalformedRow(reader.line_num, str(exc)) from exc
-            rows.append((open_time, close))
-    except csv.Error as exc:
-        raise MalformedRow(reader.line_num, str(exc)) from exc
-
-    if not rows:
-        raise EmptyInput(f"{symbol}: zero kline rows")
-    rows.sort(key=lambda row: row[0])
-    series = PriceSeries(symbol, *zip(*rows))
+def read_leg(path, symbol, pool=None):
+    """Read one leg file as a PriceSeries, in byte ranges on `pool` if given
+    (`read_series_csv`). Its first line that is neither blank nor a `#`
+    comment decides the format: seven or more comma-separated fields mean a
+    Binance kline CSV, anything else a normalized `open_time_ms,close` CSV.
+    A kline leg's rows are sorted by open time, and its gaps warn."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        first = next((s for s in map(str.strip, f) if s and not s.startswith("#")), "")
+    if first.count(",") < 6:
+        return PriceSeries.from_csv(path, symbol, pool)
+    times, closes = read_series_csv(path, pool, kline=True)
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, closes = times[order], closes[order]
+    series = PriceSeries(symbol, times, closes)
     _warn_gaps(symbol, series.times)
     return series
-
-
-def read_leg(path, symbol, pool=None):
-    """Read one leg file as a PriceSeries. Its first line that is neither
-    blank nor a `#` comment decides the format: seven or more
-    comma-separated fields mean a Binance kline CSV (`parse_klines`),
-    anything else a normalized `open_time_ms,close` CSV, which a `pool`
-    parses in byte ranges (`read_series_csv`)."""
-    with open(path, "rb") as f:
-        first = next((s for s in map(bytes.strip, f) if s and not s.startswith(b"#")), b"")
-        if first.count(b",") < 6:
-            return PriceSeries.from_csv(path, symbol, pool)
-        f.seek(0)
-        return parse_klines(f.read(), symbol)
 
 
 @dataclass

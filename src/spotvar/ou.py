@@ -135,12 +135,15 @@ def simulate_path(params: OUParams, v0, n_steps, dt=1.0, rng_seed=0, out=None):
 
 
 def log_likelihood(params: OUParams, series, dt=1.0):
-    """Exact transition log-likelihood of the observed path under params."""
+    """Exact transition log-likelihood of the observed path under params;
+    NumericalBreakdown when the conditional variance underflows to 0."""
     params.validate()
     v = np.asarray(getattr(series, "values", series), dtype=np.float64)
     if len(v) < 2:
         raise SeriesTooShort("need >= 2 observations")
     tp = transition_params(params, dt)
+    if not tp.cond_sd > 0:
+        raise NumericalBreakdown(f"conditional variance underflows to 0: {params}, dt={dt}")
     n = len(v) - 1
 
     def residual_square(start, stop):

@@ -11,7 +11,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fstring_rows
-from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest, parse_klines
+from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest
 from spotvar.csvrows import format_rows
 from spotvar.parallel import Pool, fork_pool
 from spotvar.errors import (
@@ -37,37 +37,47 @@ FIXTURE_CLOSES = [
 ]
 
 
+def _read_klines(directory, raw, symbol="BTCUSDT"):
+    """`raw`, the bytes of a kline CSV, read as a leg file."""
+    path = directory / "klines.csv"
+    path.write_bytes(raw)
+    return ingest.read_leg(path, symbol)
+
+
 class TestParseKlines:
-    def test_single_well_formed_row(self):
-        series = parse_klines(SINGLE_ROW, "BTCUSDT")
+    """Kline legs, read by `read_leg`."""
+
+    def test_single_well_formed_row(self, tmp_path):
+        series = _read_klines(tmp_path, SINGLE_ROW)
         assert len(series) == 1
         assert series.closes[0] == 4689.89
         assert series.times[0] == 1504224000000
 
-    def test_duplicate_open_time_rejected(self):
+    def test_duplicate_open_time_rejected(self, tmp_path):
         raw = SINGLE_ROW + SINGLE_ROW
         with pytest.raises(NonMonotonicTimestamp):
-            parse_klines(raw, "BTCUSDT")
+            _read_klines(tmp_path, raw)
 
     def test_ten_row_fixture_against_hand_transcription(self):
-        series = parse_klines(DATA.joinpath("klines_10rows.csv").read_bytes(), "BTCUSDT")
+        series = ingest.read_leg(DATA / "klines_10rows.csv", "BTCUSDT")
         assert series.closes.tolist() == FIXTURE_CLOSES
         assert series.times.tolist() == [1504224000000 + 60000 * k for k in range(10)]
 
-    def test_unsorted_rows_are_sorted(self):
+    def test_unsorted_rows_are_sorted(self, tmp_path):
         rows = DATA.joinpath("klines_10rows.csv").read_text().splitlines()
         shuffled = "\n".join(rows[::-1]).encode()
-        series = parse_klines(shuffled, "BTCUSDT")
+        series = _read_klines(tmp_path, shuffled)
         assert series.closes.tolist() == FIXTURE_CLOSES
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            parse_klines(b"", "BTCUSDT")
+    def test_empty_input(self, tmp_path):
+        for raw in (b"", b"open_time_ms,open,high,low,close,volume,close_time\n"):
+            with pytest.raises(EmptyInput):
+                _read_klines(tmp_path, raw)
 
-    def test_malformed_row_reports_line_number(self):
+    def test_malformed_row_reports_line_number(self, tmp_path):
         raw = SINGLE_ROW + b"not,a,kline\n"
         with pytest.raises(MalformedRow) as exc:
-            parse_klines(raw, "BTCUSDT")
+            _read_klines(tmp_path, raw)
         assert exc.value.line_no == 2
 
     def test_malformed_row_survives_pickling(self):
@@ -76,23 +86,44 @@ class TestParseKlines:
         assert str(back) == "malformed row at line 5: bad"
         assert back.line_no == 5
 
-    def test_unparseable_price_rejected(self):
+    def test_unparseable_price_rejected(self, tmp_path):
         raw = b"1504224000000,abc,4689.89,4689.89,4689.89,0.5,1504224059999\n"
         with pytest.raises(MalformedRow):
-            parse_klines(raw, "BTCUSDT")
+            _read_klines(tmp_path, raw)
 
-    def test_price_bracket_invariant(self):
+    def test_price_bracket_invariant(self, tmp_path):
         # high below close violates the kline invariant
         raw = b"1504224000000,4689.89,4600.00,4689.89,4689.89,0.5,1504224059999\n"
         with pytest.raises(MalformedRow):
-            parse_klines(raw, "BTCUSDT")
+            _read_klines(tmp_path, raw)
 
-    def test_gap_warned_not_filled(self):
+    def test_gap_warned_not_filled(self, tmp_path):
         rows = DATA.joinpath("klines_10rows.csv").read_text().splitlines()
         with_gap = "\n".join(rows[:3] + rows[4:]).encode()
         with pytest.warns(GapWarning, match=str(1504224000000 + 3 * MINUTE_MS)):
-            series = parse_klines(with_gap, "BTCUSDT")
+            series = _read_klines(tmp_path, with_gap)
         assert len(series) == 9  # gap preserved, nothing interpolated
+
+    @pytest.mark.parametrize("head", [b"# exported from the archive\n",
+                                      b"open_time_ms,open,high,low,close,volume,close_time\n"])
+    def test_leading_comment_and_header_are_skipped(self, tmp_path, head):
+        """As in a normalized leg: the sniffer and the reader skip both."""
+        series = _read_klines(tmp_path, head + DATA.joinpath("klines_10rows.csv").read_bytes())
+        assert series.closes.tolist() == FIXTURE_CLOSES
+
+    def test_a_quoted_field_is_malformed(self, tmp_path):
+        """Fields are split at every comma; a quote is part of its field."""
+        with pytest.raises(MalformedRow) as exc:
+            _read_klines(tmp_path, b'"1504224000000"' + SINGLE_ROW[13:])
+        assert exc.value.line_no == 1
+
+    def test_a_lone_carriage_return_ends_a_line(self, tmp_path):
+        """In the reader, and in the sniffer that reads past a comment."""
+        second = SINGLE_ROW.replace(b"1504224000000", b"1504224060000").replace(
+            b"1504224059999", b"1504224119999")
+        for head in (b"", b"# exported from the archive\r"):
+            series = _read_klines(tmp_path, head + SINGLE_ROW[:-1] + b"\r" + second)
+            assert series.times.tolist() == [1504224000000, 1504224060000]
 
 
 class TestSerializationRoundTrip:
@@ -129,7 +160,7 @@ class TestSerializationRoundTrip:
             assert (tmp_path / leg).read_bytes() == path.read_bytes()
 
     def test_minute_grid_property(self):
-        series = parse_klines(DATA.joinpath("klines_10rows.csv").read_bytes(), "B")
+        series = ingest.read_leg(DATA / "klines_10rows.csv", "B")
         deltas = np.diff(series.times)
         assert np.all(deltas > 0)
         assert np.all(deltas % MINUTE_MS == 0)
@@ -160,7 +191,8 @@ class TestArbitraryBytes:
         for read in (
             lambda: PriceSeries.from_csv(scratch, "X"),
             lambda: VariationSeries.from_csv(scratch),
-            lambda: parse_klines(data, "X"),
+            lambda: ingest.read_leg(scratch, "X"),
+            lambda: ingest.read_series_csv(scratch, kline=True),
         ):
             try:
                 read()
@@ -177,9 +209,9 @@ class TestArbitraryBytes:
                 read()
             assert exc.value.line_no == 3
 
-    def test_kline_not_utf8_is_malformed_row_at_its_line(self):
+    def test_kline_not_utf8_is_malformed_row_at_its_line(self, tmp_path):
         with pytest.raises(MalformedRow) as exc:
-            parse_klines(SINGLE_ROW + b"\xff" + SINGLE_ROW, "X")
+            _read_klines(tmp_path, SINGLE_ROW + b"\xff" + SINGLE_ROW, "X")
         assert exc.value.line_no == 2
 
     def test_timestamp_beyond_int64_is_invalid_value(self, tmp_path):
@@ -190,13 +222,13 @@ class TestArbitraryBytes:
         with pytest.raises(InvalidValue):
             VariationSeries.from_csv(path)
         with pytest.raises(InvalidValue):
-            parse_klines(f"{2**63},1,1,1,1,1,{2**64}\n".encode(), "X")
+            _read_klines(tmp_path, f"{2**63},1,1,1,1,1,{2**64}\n".encode(), "X")
 
 
 def _mostly(usual, odd):
     """`usual` four times in five, else `odd`: most examples then hold
     whole files the fast path accepts, so a looser fast path shows."""
-    return st.tuples(st.integers(0, 4), usual, odd).map(lambda t: t[1] if t[0] else t[2])
+    return st.integers(0, 4).flatmap(lambda k: usual if k else odd)
 
 
 _TIME_FIELD = _mostly(
@@ -218,14 +250,54 @@ _VALUE_FIELD = _mostly(
 _OTHER_LINE = st.sampled_from([
     "", "   ", "\t", "\x0c", "\xa0", "# comment", "  # indented", "#caf\xe9",
     "open_time_ms,close", "OPEN_TIME_MS,variation", "1,2,3", "abc", ",",
+    "open_time_ms,open,high,low,close,volume,close_time",
 ])
-_CSV_TEXT = st.lists(
-    st.tuples(
-        _mostly(st.builds("{},{}".format, _TIME_FIELD, _VALUE_FIELD), _OTHER_LINE),
-        st.sampled_from(["\n", "\r\n", "\r", ""]),
-    ),
-    max_size=8,
-).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+_PRICE = st.floats(1e-300, 1e300).map(repr)
+# one price for all four, or four that low and high bracket
+_GOOD_PRICES = _PRICE.map(lambda p: [p] * 4) | st.lists(
+    st.floats(1e-8, 1e8), min_size=4, max_size=4).map(sorted).map(
+    lambda p: [repr(p[1]), repr(p[3]), repr(p[0]), repr(p[2])])
+_ANY_PRICES = st.lists(
+    _mostly(_PRICE, st.sampled_from(["0", "-0.0", "-1.5", "nan", "inf", "-inf", "1e400",
+                                     "1_0.5", " 2.5\t", '"2.5"', ""])),
+    min_size=4, max_size=4)
+
+
+@st.composite
+def _kline_lines(draw, odd_one_in, time):
+    """A kline row: open time, open, high, low, close, volume, close time
+    and five more fields. One row in `odd_one_in` is odd: each of its open
+    time, prices, volume, close time and width is drawn at random one time
+    in five. Any other row is well-formed: a `time`, one price for all four
+    or four that bracket, a close time a minute on, and 7, 8 or 12 fields."""
+    row_is_odd = draw(st.integers(0, odd_one_in - 1)) == 0
+
+    def odd(strategy, usual):
+        return draw(_mostly(usual, strategy) if row_is_odd else usual)
+
+    t = odd(_TIME_FIELD, time)
+    try:
+        later = str(int(t) + 59_999)
+    except ValueError:
+        later = t
+    fields = [t, *odd(_ANY_PRICES, _GOOD_PRICES), odd(_VALUE_FIELD, st.just("1.5")),
+              odd(_TIME_FIELD, st.just(later)), "0", "1", "0", "0", "0"]
+    return ",".join(fields[:odd(st.integers(1, 12), st.sampled_from([7, 8, 12]))])
+
+
+def _csv_text(row):
+    return st.lists(
+        st.tuples(_mostly(row, _OTHER_LINE), st.sampled_from(["\n", "\r\n", "\r", ""])),
+        max_size=8,
+    ).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+_CSV_TEXT = {  # by format: kline or not
+    False: _csv_text(st.builds("{},{}".format, _TIME_FIELD, _VALUE_FIELD)),
+    True: _csv_text(_kline_lines(5, _TIME_FIELD)),
+}
 
 
 def _outcome(read):
@@ -236,14 +308,14 @@ def _outcome(read):
         return type(exc), getattr(exc, "line_no", None)
 
 
-def _per_line(buf):
-    times, values = ingest._read_rows(buf)
+def _per_line(buf, kline=False):
+    times, values = ingest._read_rows(buf, ingest._FORMATS[kline][2])
     return ingest.int64_times(times), np.asarray(values, dtype=np.float64)
 
 
-def _per_line_outcome(path):
+def _per_line_outcome(path, kline=False):
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
-        return _outcome(lambda: _per_line(f))
+        return _outcome(lambda: _per_line(f, kline))
 
 
 def _assert_same_outcome(fast, per_line):
@@ -260,20 +332,23 @@ def _assert_same_outcome(fast, per_line):
 class TestFastReaderMatchesPerLine:
     """`read_series_csv` parses with numpy; whatever the text, it returns
     what the per-line reader returns, bit for bit, or raises the same error
-    class at the same line."""
+    class at the same line, for normalized and kline CSVs alike."""
 
     @pytest.fixture(scope="class")
     def scratch(self, tmp_path_factory):
         return tmp_path_factory.mktemp("differential") / "input.csv"
 
-    @given(text=_CSV_TEXT)
-    @example(text="0,nan\nabc\n")  # a line without a comma after the last row
-    @example(text="60000,1.5\n12345\n")
+    @given(texts=st.tuples(_CSV_TEXT[False], _CSV_TEXT[True]))
+    @example(texts=("0,nan\nabc\n",  # a line without a comma after the last row
+                    "60000,1.5,1.5,1.5,1.5,1,119999\n12345\n"))
+    @example(texts=("60000,1.5\n12345\n", "60000,1.5,1.5,1.5,0,1,119999\n"))  # a zero close
     @settings(max_examples=500, deadline=None)
-    def test_same_outcome(self, scratch, text):
-        scratch.write_bytes(text.encode("utf-8"))
-        from_path = _outcome(lambda: ingest.read_series_csv(scratch))
-        _assert_same_outcome(from_path, _per_line_outcome(scratch))
+    def test_same_outcome(self, scratch, texts):
+        """Each example is a normalized and a kline text."""
+        for kline, text in zip((False, True), texts):
+            scratch.write_bytes(text.encode("utf-8"))
+            from_path = _outcome(lambda: ingest.read_series_csv(scratch, kline=kline))
+            _assert_same_outcome(from_path, _per_line_outcome(scratch, kline))
 
     @pytest.mark.parametrize("text", [
         "open_time_ms,close\n60000,1.5\n",  # one row
@@ -285,14 +360,21 @@ class TestFastReaderMatchesPerLine:
         "60000,1.5\n120000,abc\n",
         "60000,1.5\n1.0,2.5\n",
         "60000,1.5\n1e3,2.5\n",
+        "# c\r\nopen_time_ms,open,high,low,close,volume,close_time\r\n60000,2,3,1,2,1,119999\r\n",
+        "60000,2,3,1,2,1,119999\n120000,2,3,1,nan,1,179999\n",
+        "60000,2,3,1,2,1,119999\n120000,2,3,1,2,1\n",
+        "60000,2,3,1,2,1,119999,0,1,0,0,0\n120000,2,3,1,2,1,179999,0\n",
     ])
     def test_edge_cases(self, tmp_path, text):
         """A one-row file, CRLF after a leading comment and blank line, and
-        seven inputs the fast path hands to the per-line reader."""
+        seven inputs the fast path hands to the per-line reader; kline rows
+        after a header, with a nan close, of six fields and of mixed widths.
+        Each file is read as both formats."""
         path = tmp_path / "input.csv"
         path.write_text(text, newline="")
-        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)),
-                             _outcome(lambda: _per_line(io.StringIO(text))))
+        for kline in (False, True):
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, kline=kline)),
+                                 _outcome(lambda: _per_line(io.StringIO(text), kline)))
 
     @pytest.mark.parametrize("text", [
         "60000,1.5\n1.0,2.5\n", "60000,1.5\n1e3,2.5\n", f"60000,1.5\n{2**63},2.5\n",
@@ -321,33 +403,46 @@ class TestFastReaderMatchesPerLine:
 def _rarely(usual, odd):
     """`odd` one time in twenty, else `usual`: most examples then hold files
     that every byte range parses, so a range that reads too much shows."""
-    return st.tuples(st.integers(0, 19), usual, odd).map(lambda t: t[1] if t[0] else t[2])
+    return st.integers(0, 19).flatmap(lambda k: usual if k else odd)
 
 
-_RANGE_LINE = _rarely(
-    st.builds("{},{}".format, _rarely(st.integers(-(2**62), 2**62).map(str), _TIME_FIELD),
-              _rarely(st.floats().map(repr), _VALUE_FIELD)),
-    st.sampled_from(["", "", "# comment", "#caf\xe9", "open_time_ms,close", "   ", "1,2,3",
-                     "# lone carriage return\r1,2.5"]),
-)
-_RANGE_FILE = st.fixed_dictionaries({
-    "lines": st.lists(_RANGE_LINE, min_size=1, max_size=40),
+_TIME_62 = st.integers(-(2**62), 2**62).map(str)
+_RANGE_LINE = {  # by format: kline or not
+    False: _rarely(
+        st.builds("{},{}".format, _rarely(_TIME_62, _TIME_FIELD),
+                  _rarely(st.floats().map(repr), _VALUE_FIELD)),
+        st.sampled_from(["", "", "# comment", "#caf\xe9", "open_time_ms,close", "   ", "1,2,3",
+                         "# lone carriage return\r1,2.5"]),
+    ),
+    True: _rarely(
+        _kline_lines(20, _TIME_62),
+        st.sampled_from(["", "", "# comment", "#caf\xe9", "   ", "1,2,3,4,5,6",
+                         "open_time_ms,open,high,low,close,volume,close_time",
+                         "# lone carriage return\r1,2,2,1,2,1.5,60000"]),
+    ),
+}
+_RANGE_FILE = {kline: st.fixed_dictionaries({  # by format: kline or not
+    "lines": st.lists(_RANGE_LINE[kline], min_size=1, max_size=40),
     "end": _rarely(st.just("\n"), st.just("\r\n")),
     "trailing_newline": _mostly(st.just(True), st.just(False)),
     "not_utf8_at": _rarely(st.none(), st.floats(0.5, 1.0)),  # a share of the file
     "name": _rarely(st.just("input.csv"), st.just("input.csv.gz")),
     "workers": st.sampled_from([2, 3, 5]),
-})
+    "kline": st.just(kline),
+}) for kline in (False, True)}
 
 
-def _rows(n):
-    """`n` distinct well-formed rows."""
+def _rows(n, kline=False):
+    """`n` distinct well-formed rows; kline rows of twelve fields."""
+    if kline:
+        return [f"{60_000 * k},{(k + 1) / 7!r},{(k + 2) / 7!r},{(k + 1) / 14!r},{(k + 1) / 7!r},"
+                f"1.5,{60_000 * k + 59_999},0,1,0,0,0" for k in range(n)]
     return [f"{60_000 * k},{k / 7!r}" for k in range(n)]
 
 
-def _spec(lines, end="\n", workers=3):
+def _spec(lines, end="\n", workers=3, kline=False):
     return {"lines": lines, "end": end, "trailing_newline": True, "not_utf8_at": None,
-            "name": "input.csv", "workers": workers}
+            "name": "input.csv", "workers": workers, "kline": kline}
 
 
 # a row, a lone carriage return and a row on the line at index 20 of 40, inside
@@ -386,60 +481,114 @@ class TestRangeReader:
     # no shrink phase: each shrink step runs pool jobs on files, and shrinking
     # one failure took minutes and hundreds of MB; a failure reports the
     # example hypothesis first found
-    @given(spec=_RANGE_FILE)
-    @example(spec=_spec(_LONE_CR_IN_RANGE))
-    @example(spec=_spec(_rows(40), end="\r\n"))
+    @given(specs=st.tuples(_RANGE_FILE[False], _RANGE_FILE[True]))
+    @example(specs=(_spec(_LONE_CR_IN_RANGE),
+                    _spec(_rows(40, kline=True), end="\r\n", kline=True)))
+    @example(specs=(_spec(_rows(40), end="\r\n"), _spec(_rows(40, kline=True), kline=True)))
     @settings(max_examples=300, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
-    def test_same_outcome_as_the_serial_reader(self, pool, scratch, spec):
-        """Also in one range, in this process."""
-        path = _range_file(scratch, spec)
-        split = Pool(pool.executor, spec["workers"])  # one range per worker
-        serial = _per_line_outcome(path)
-        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path)), serial)
-        _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split)), serial)
-        ranges = ingest._read_ranges(str(path), split)
-        if ranges is not None:  # the ranges alone parsed the file: serial must agree
-            _assert_same_outcome(ranges, serial)
+    def test_same_outcome_as_the_serial_reader(self, pool, scratch, specs):
+        """Also in one range, in this process. Each example is a normalized
+        and a kline file."""
+        for spec in specs:
+            path, kline = _range_file(scratch, spec), spec["kline"]
+            split = Pool(pool.executor, spec["workers"])  # one range per worker
+            serial = _per_line_outcome(path, kline)
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, kline=kline)),
+                                 serial)
+            # the ranges' rows if they parse the file, else the serial reader's
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split, kline)),
+                                 serial)
 
     def test_ranges_skip_blank_lines_without_reading_the_next_range(self, pool, tmp_path):
         """Every range holds a blank line, which numpy skips: each range
         returns its own rows, none of the next range's, and the file has
-        no trailing newline."""
-        rows = [f"{60_000 * k},{k / 7!r}" for k in range(300)]
-        lines = ["# leading comment", "open_time_ms,close"]
-        for k, row in enumerate(rows):
-            lines += [row, ""] if k % 10 == 3 else [row]
-        path = tmp_path / "blank.csv"
-        path.write_text("\n".join(lines))  # no trailing newline
-        serial = ingest.read_series_csv(path)
-        assert len(serial[0]) == 300
-        for workers in (2, 3, 5):
-            ranges = ingest._read_ranges(str(path), Pool(pool.executor, workers))
-            assert ranges is not None
-            _assert_same_outcome(ranges, serial)
+        no trailing newline. Normalized and kline files."""
+        for kline in (False, True):
+            lines = ["# leading comment", "open_time_ms,close"]
+            for k, row in enumerate(_rows(300, kline)):
+                lines += [row, ""] if k % 10 == 3 else [row]
+            path = tmp_path / "blank.csv"
+            path.write_text("\n".join(lines))  # no trailing newline
+            serial = ingest.read_series_csv(path, kline=kline)
+            assert len(serial[0]) == 300
+            for workers in (2, 3, 5):
+                ranges = ingest._read_ranges(str(path), Pool(pool.executor, workers), kline)
+                assert ranges is not None
+                _assert_same_outcome(ranges, serial)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_line_without_a_comma_fails_wherever_it_is(self, pool, tmp_path, workers):
-        """`abc` at every place in a file of 40 rows, read in byte ranges
-        however they fall: the last line of a range and of the file too."""
-        rows, split = _rows(40), Pool(pool.executor, workers)
+        """`abc` at every place in a file of 40 rows, normalized or kline,
+        read in byte ranges however they fall: the last line of a range and
+        of the file too."""
+        split = Pool(pool.executor, workers)
         path = tmp_path / "abc.csv"
-        for k in range(len(rows) + 1):
-            path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
-            read = _outcome(lambda: ingest.read_series_csv(path, split))
-            _assert_same_outcome(read, (MalformedRow, k + 1))
+        for kline in (False, True):
+            rows = _rows(40, kline)
+            for k in range(len(rows) + 1):
+                path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
+                read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
+                _assert_same_outcome(read, (MalformedRow, k + 1))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"x", b"\r"])
     def test_a_failed_range_hands_the_file_to_the_serial_reader(self, pool, tmp_path, bad):
-        rows = [f"{60_000 * k},1.5" for k in range(300)]
-        rows[250] = rows[250].replace(",", bad.decode("latin-1") + ",")
-        path = tmp_path / "bad.csv"
-        path.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
-        assert ingest._read_ranges(str(path), pool) is None
-        serial = _outcome(lambda: ingest.read_series_csv(path))
-        assert _outcome(lambda: ingest.read_series_csv(path, pool)) == serial
-        assert serial == (MalformedRow, 251)
+        for kline in (False, True):
+            rows = _rows(300, kline)
+            rows[250] = rows[250].replace(",", bad.decode("latin-1") + ",", 1)
+            path = tmp_path / "bad.csv"
+            path.write_bytes("\n".join(rows).encode("latin-1") + b"\n")
+            assert ingest._read_ranges(str(path), pool, kline) is None
+            serial = _outcome(lambda: ingest.read_series_csv(path, kline=kline))
+            assert _outcome(lambda: ingest.read_series_csv(path, pool, kline)) == serial
+            assert serial == (MalformedRow, 251)
+
+    @pytest.mark.parametrize("odd, in_ranges", [
+        ("{t},0,1,1,1,1.5,{c}", False),  # a zero open
+        ("{t},1,1,-1,1,1.5,{c}", False),  # a negative low
+        ("{t},1,2,1,nan,1.5,{c}", False),  # a nan close, which the per-line reader accepts
+        ("{t},1,inf,1,1,1.5,{c}", False),  # an infinite high, which it accepts too
+        ("{t},1,2,1,3,1.5,{c}", False),  # a high below the close
+        ("{t},1,1,1,1,1.5,{t}", False),  # close_time not after open_time
+        ("{t},1,1,1,1,1.5", False),  # six fields
+        ("{t},1,2,0.5,1,1.5,{c},0", True),  # eight fields among twelve
+        ("\n\n", True),  # a run of three blank lines
+    ])
+    def test_an_odd_kline_line_wherever_it_is(self, pool, tmp_path, odd, in_ranges):
+        """One odd line at every place in a kline file of 12 rows, at 1, 2
+        and 3 workers, so at both edges of every range: the byte ranges
+        parse the file to the per-line reader's rows, or hand it over."""
+        rows = _rows(12, kline=True)
+        path = tmp_path / "odd.csv"
+        for k in range(len(rows) + 1):
+            t = 60_000 * k - 30_000  # between its neighbours' open times
+            line = odd.format(t=t, c=t + 29_999)
+            path.write_text("\n".join(rows[:k] + [line] + rows[k:]) + "\n")
+            serial = _per_line_outcome(path, kline=True)
+            for split in (None, Pool(pool.executor, 2), Pool(pool.executor, 3)):
+                ranges = ingest._read_ranges(str(path), split, kline=True)
+                if in_ranges:
+                    _assert_same_outcome(ranges, serial)
+                else:
+                    assert ranges is None
+            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, pool, True)),
+                                 serial)
+
+    def test_kline_rows_sorted_and_duplicates_rejected(self, pool, tmp_path):
+        """`read_leg` sorts the rows of a kline leg by open time at 1, 2 and
+        3 workers; a duplicate open time is NonMonotonicTimestamp."""
+        rows = _rows(40, kline=True)
+        order = np.random.default_rng(3).permutation(len(rows))
+        shuffled, duplicate = tmp_path / "shuffled.csv", tmp_path / "duplicate.csv"
+        shuffled.write_text("".join(f"{rows[i]}\n" for i in order))
+        duplicate.write_text("".join(f"{row}\n" for row in rows[:30] + rows[29:]))
+        want = _per_line_outcome(_range_file(tmp_path, _spec(rows, kline=True)), kline=True)
+        for split in (None, Pool(pool.executor, 2), Pool(pool.executor, 3)):
+            assert ingest._read_ranges(str(shuffled), split, kline=True) is not None
+            leg = ingest.read_leg(shuffled, "X", split)
+            _assert_same_outcome((leg.times, leg.closes), want)
+            with pytest.raises(NonMonotonicTimestamp):
+                ingest.read_leg(duplicate, "X", split)
 
     @pytest.mark.parametrize("head, end", [("# lone carriage return\r1,2.5\n", "\n"),
                                            ("open_time_ms,close\r\n", "\r\n")])

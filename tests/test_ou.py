@@ -106,6 +106,15 @@ class TestSimulatePath:
         with pytest.raises(NumericalBreakdown):
             log_likelihood(params, [0.0, 1.0, 0.5], dt)
 
+    def test_an_underflowing_conditional_variance_is_a_numeric_error(self):
+        """sigma**2 underflows to 0: the path is the noise-free one (see
+        `test_noise_free_limit_matches_conditional_means`), but its density
+        has no logarithm."""
+        params = OUParams(1.0, 0.0, 1e-200)
+        assert transition_params(params).cond_sd == 0.0
+        with pytest.raises(NumericalBreakdown, match="underflows"):
+            log_likelihood(params, [0.0, 1.0, 0.5])
+
     @pytest.mark.parametrize("n_steps", [1, 2, 5000, 20001])
     def test_out_buffer_is_bit_equal_to_a_fresh_path(self, n_steps):
         buf = np.full(n_steps + 1, np.nan)
