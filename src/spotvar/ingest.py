@@ -40,8 +40,14 @@ _ROW = np.dtype([("t", np.int64), ("v", np.float64)])
 _KLINE = np.dtype([("t", np.int64), ("open", np.float64), ("high", np.float64),
                    ("low", np.float64), ("v", np.float64), ("volume", np.float64),
                    ("close_time", np.int64)])
-# bytes of a leg copied per read while its byte range is parsed
-_READ_BLOCK = 1 << 20
+# rows per slice of the search for gaps
+_GAP_SLICE = 1 << 16
+# bytes of a leg's byte range parsed per block, before the cut at a newline.
+# A pool worker's block buffer, freed, raises glibc's mmap threshold to its
+# size: above the 4.7 MB array that `csvrows.format_rows` allocates per job,
+# the `variation.csv` write reuses heap pages (at 4 MB blocks its workers
+# faulted 40k pages in again, more than the whole parse)
+_READ_BLOCK = 6 << 20
 
 
 @dataclass(frozen=True)
@@ -150,15 +156,15 @@ def _read_ranges(path, pool=None, kline=False):
     parsed in one byte range per worker of `pool`, or without a pool in one
     range, `[0, size)`, here; None if any range fails. The file is split at
     equal shares of its size, each split moved to just after the next
-    newline. A range is copied for numpy in blocks (`_parse_range`), so no
-    process holds its bytes.
+    newline. A range is parsed in blocks (`_parse_range`), so no process
+    holds its bytes or its rows.
 
-    Each range writes its times, then its values, to a file in a temporary
-    directory, and this process reads them straight into the two columns.
-    Sent back through the pool, they would arrive in pipe reads whose sizes
-    depend on timing, and glibc's sliding mmap threshold then left this
-    process's peak RSS at 246 or 304 MB from one paper-scale run to the
-    next; a buffer larger than a column, freed, moves it too."""
+    Each range writes each block's times, then its values, to a file in a
+    temporary directory, and this process reads them straight into the two
+    columns. Sent back through the pool, they would arrive in pipe reads
+    whose sizes depend on timing, and glibc's sliding mmap threshold then
+    left this process's peak RSS at 246 or 304 MB from one paper-scale run
+    to the next; a buffer larger than a column, freed, moves it too."""
     size = os.path.getsize(path)
     n = pool.workers if pool is not None else 1
     bounds = [0]
@@ -171,61 +177,76 @@ def _read_ranges(path, pool=None, kline=False):
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, str(k)) for k in range(n)]
         jobs = zip(bounds, bounds[1:], outs)
-        counts = list(pool_map(pool, partial(_parse_range, path, kline), jobs))
-        if None in counts or not sum(counts):
+        blocks = list(pool_map(pool, partial(_parse_range, path, kline), jobs))
+        if None in blocks or not (rows := sum(map(sum, blocks))):
             return None
-        columns = np.empty(sum(counts), np.int64), np.empty(sum(counts), np.float64)
+        columns = np.empty(rows, np.int64), np.empty(rows, np.float64)
         at = 0
-        for out, count in zip(outs, counts):
-            with open(out, "rb") as f:
-                if any(f.readinto(c[at:at + count]) != c.itemsize * count for c in columns):
-                    return None
-            at += count
+        for out, counts in zip(outs, blocks):
+            with open(f"{out}.rows", "rb") as f:
+                for count in counts:
+                    if any(f.readinto(c[at:at + count]) != c.itemsize * count for c in columns):
+                        return None
+                    at += count
         return columns
 
 
 def _parse_range(path, kline, job):
     """Parse the rows in bytes [start, end) of the file at `path`, a kline
-    CSV if `kline`, where `start` is 0 or follows a newline, write their
-    times, then their values, to the file `out`, and return their count.
-    The range's leading lines that `_skipped` skips are dropped, the rest is
-    copied verbatim to `out` in blocks of `_READ_BLOCK` bytes, and numpy
-    parses the copy to its end: any line it cannot parse, the range's last
-    included, makes it fail. The range's bytes are never held whole.
+    CSV if `kline`, where `start` is 0 or follows a newline, and return the
+    count of rows of each block. The range's leading lines that `_skipped`
+    skips are dropped. The rest is parsed in blocks: each block,
+    `_READ_BLOCK` bytes and on to just after the next newline or to the
+    range's end, is copied verbatim to the file `out`, numpy parses the copy
+    to its end, and the block's times, then its values, are appended to the
+    file `out.rows`. Any line numpy cannot parse, the range's last
+    included, makes it fail. Neither the range's bytes nor its rows are
+    ever held whole.
 
     Returns None where the per-line reader must decide instead: a line
     numpy rejects, one `_skipped` cannot read, a kline row without positive,
     finite prices that pass `_kline_row`'s checks, or a lone carriage return
-    (`_lone_cr`) in a leading line. numpy opens the copy as text, with
+    (`_lone_cr`) in a leading line. numpy opens each copy as text, with
     Python's universal newlines, as the per-line reader opens the file, so
-    both end a line at a CRLF, a newline or a lone carriage return."""
+    both end a line at a CRLF, a newline or a lone carriage return; a block
+    ends after a newline, so no CRLF is split between two blocks."""
     start, end, out = job
     dtype, usecols, _ = _FORMATS[kline]
+    counts = []
     try:
-        with open(path, "rb") as f, open(out, "wb") as copy:
+        with (open(path, "rb") as f, open(out, "wb") as copy, open(f"{out}.rows", "wb") as rows,
+              warnings.catch_warnings()):
+            warnings.simplefilter("error", DeprecationWarning)
+            # a block of blank lines parses to no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             f.seek(start)
             line = f.readline(end - start)
             while line and _skipped(line.decode("utf-8", "surrogateescape").strip()):
                 if _lone_cr(line):
                     return None
                 line = f.readline(end - f.tell())
-            copy.write(line)  # the first line that is not skipped
-            copy.writelines(iter(lambda: f.read(min(_READ_BLOCK, end - f.tell())), b""))
-        if not line:  # only skipped lines: `out` is empty
-            return 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            parsed = np.loadtxt(out, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                                encoding="utf-8", usecols=usecols)
-        if kline:  # low > 0 and high < inf bound the prices they bracket; nan fails all
-            low, high, o, c = (parsed[k] for k in ("low", "high", "open", "v"))
-            if not np.all((low > 0) & (high < np.inf) & (low <= np.minimum(o, c))
-                          & (high >= np.maximum(o, c)) & (parsed["close_time"] > parsed["t"])):
-                return None
-        with open(out, "wb") as f:
-            for name in ("t", "v"):
-                f.write(np.ascontiguousarray(parsed[name]))  # tofile writes a strided view slowly
-        return len(parsed)
+            block = memoryview(bytearray(min(_READ_BLOCK, end - f.tell())))
+            while True:
+                # each block overwrites the last: truncating a file to 0 frees its disk blocks
+                copy.seek(0)
+                copy.write(line)  # the first line that is not skipped, in the first block
+                copy.write(block[:f.readinto(block[:end - f.tell()])])
+                copy.write(f.readline(end - f.tell()))
+                if not copy.tell():
+                    return counts
+                copy.truncate()  # flushed too
+                line = b""
+                parsed = np.loadtxt(out, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                                    encoding="utf-8", usecols=usecols)
+                if kline:  # low > 0 and high < inf bound the prices they bracket; nan fails all
+                    low, high, o, c = (parsed[k] for k in ("low", "high", "open", "v"))
+                    if not np.all((low > 0) & (high < np.inf) & (low <= np.minimum(o, c))
+                                  & (high >= np.maximum(o, c))
+                                  & (parsed["close_time"] > parsed["t"])):
+                        return None
+                for name in ("t", "v"):  # tofile writes a strided view slowly
+                    rows.write(np.ascontiguousarray(parsed[name]))
+                counts.append(len(parsed))
     except (ValueError, OverflowError, DeprecationWarning, OSError):
         return None
 
@@ -291,9 +312,12 @@ def find_gaps(times):
     """Return the first missing minute of each gap (ms) in the strictly
     increasing `times`, or empty list."""
     times = np.asarray(times, dtype=np.int64)
-    # the difference of increasing times is exact in uint64; in int64 it wraps
-    idx = np.flatnonzero(np.diff(times.view(np.uint64)) > MINUTE_MS)
-    return [int(times[i] + MINUTE_MS) for i in idx]
+    gaps = []
+    for start in range(0, len(times) - 1, _GAP_SLICE):  # scratch is one slice's difference
+        # the difference of increasing times is exact in uint64; in int64 it wraps
+        steps = np.diff(times[start:start + _GAP_SLICE + 1].view(np.uint64))
+        gaps += [int(times[start + i] + MINUTE_MS) for i in np.flatnonzero(steps > MINUTE_MS)]
+    return gaps
 
 
 def _warn_gaps(symbol, times):

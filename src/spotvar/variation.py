@@ -14,6 +14,10 @@ import numpy as np
 from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
 from .ingest import int64_times, read_series_csv, write_series_csv
 
+# rows per slice of the fold and of the variation, as in the AR(1) core
+# (`unitroot._DOT_SLICE`): a slice's scratch stays in cache
+_SLICE = 10_000
+
 
 @dataclass(frozen=True)
 class AlignedTriple:
@@ -71,29 +75,18 @@ def align(legs) -> AlignedTriple:
 
     Each leg is folded into the minutes common to the legs before it, then
     released before the next is taken from `legs`, so a generator that
-    reads the legs on demand holds one at a time. EmptyIntersection is
-    raised only once every leg is taken: a later leg's own error comes
-    first."""
+    reads the legs on demand holds one at a time. The first leg's two
+    columns are copied, and every later fold compacts the kept columns in
+    place (`_fold`), so at the third fold this holds the three kept
+    columns, the one it fills and the leg; no input leg is written.
+    EmptyIntersection is raised only once every leg is taken: a later
+    leg's own error comes first."""
     kept = []  # the common minutes, then each folded leg's closes at them
     sizes, symbols = [], []
     for leg in legs:
         sizes.append(len(leg))
         symbols.append(leg.symbol)
-        if not kept:
-            kept = [leg.times, leg.closes]
-        else:
-            # leg.times is strictly increasing: a kept minute is common when
-            # the leg holds it where searchsorted would insert it; a minute
-            # past the leg's end, clamped to its last index, misses there
-            idx = np.searchsorted(leg.times, kept[0])
-            np.minimum(idx, len(leg) - 1, out=idx)
-            hit = leg.times[idx] == kept[0]
-            if not hit.all():
-                for i in range(len(kept)):
-                    kept[i] = kept[i][hit]
-                idx = idx[hit]
-            kept.append(leg.closes[idx])
-            del idx, hit
+        kept = _fold(kept, leg) if kept else [leg.times.copy(), leg.closes.copy()]
         del leg
     if len(sizes) != 3:
         raise ValueError(f"align takes the spot, num and den legs, got {len(sizes)}")
@@ -104,13 +97,43 @@ def align(legs) -> AlignedTriple:
     return AlignedTriple(*kept, dropped=dropped)
 
 
+def _fold(kept, leg):
+    """The rows of the columns `kept`, whose first holds the minutes, at the
+    minutes `leg` holds too, and `leg`'s closes there as one more column.
+    The kept columns, this module's own arrays, are compacted in place, one
+    slice of _SLICE rows at a time: a slice is written at or before where
+    it was read, so no row is overwritten before it is read."""
+    closes = np.empty(len(kept[0]))
+    at = 0
+    for start in range(0, len(closes), _SLICE):
+        minutes = kept[0][start:start + _SLICE]
+        # leg.times is strictly increasing: a kept minute is common when
+        # the leg holds it where searchsorted would insert it; a minute
+        # past the leg's end, clamped to its last index, misses there
+        idx = np.searchsorted(leg.times, minutes)
+        np.minimum(idx, len(leg) - 1, out=idx)
+        hit = leg.times[idx] == minutes
+        idx = idx[hit]
+        for column in kept:
+            column[at:at + len(idx)] = column[start:start + _SLICE][hit]
+        closes[at:at + len(idx)] = leg.closes[idx]
+        at += len(idx)
+    return [column[:at] for column in (*kept, closes)]
+
+
 def compute_variation(triple: AlignedTriple) -> VariationSeries:
     """values[i] = ln(spot[i]) - (ln(num[i]) - ln(den[i])).
 
     The quotient leg is evaluated as a difference of logs so all three legs
     round symmetrically; this differs from ln(num/den) by < 1e-14.
     A price that is not positive and finite, which no PriceSeries holds,
-    gives a non-finite value: InvalidValue naming the row.
+    gives a non-finite value: InvalidValue naming the row. The values are
+    formed one slice of _SLICE rows at a time into one array, so the only
+    scratch is a slice's logs.
     """
-    values = np.log(triple.spot) - (np.log(triple.num) - np.log(triple.den))
+    values = np.empty(len(triple.times))
+    for start in range(0, len(values), _SLICE):
+        rows = slice(start, start + _SLICE)
+        values[rows] = np.log(triple.spot[rows]) - (np.log(triple.num[rows])
+                                                    - np.log(triple.den[rows]))
     return VariationSeries(times=triple.times, values=values)

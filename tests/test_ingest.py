@@ -629,6 +629,43 @@ class TestRangeReader:
                     assert len(serial[0]) == len(rows)
                     _assert_same_outcome(ingest._read_ranges(str(path), split), serial)
 
+    # numpy warns when a block holds only blank lines; the warning must not
+    # reach stderr, and here it fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_blocks_parse_as_the_whole_range(self, monkeypatch, tmp_path, block):
+        """Each range is parsed in blocks of `block` bytes, each carried on
+        to just after the next newline, so 100 rows span many blocks. At 1,
+        2 and 3 workers the ranges give the per-line reader's rows for
+        normalized rows and for kline rows of 7 and 12 fields, with LF line
+        ends and no trailing newline, or CRLF line ends (a block's first
+        read can end inside a CRLF), and with a run of blank lines longer
+        than two blocks, so one block holds only blank lines. An odd line
+        near the first blocks' edges, or last in the file, is MalformedRow
+        at its line."""
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        path = tmp_path / "blocks.csv"
+        with fork_pool(3) as pool:  # forked after the patch
+            for kline, odd in ((False, "1,2,3"), (True, "60000,1,1,1,1,1.5")):
+                rows = _rows(100, kline)
+                if kline:  # every other row of seven fields
+                    rows[::2] = [",".join(row.split(",")[:7]) for row in rows[::2]]
+                files = [(rows[:60] + [""] * 140 + rows[60:], end, trailing)
+                         for end, trailing in (("\n", False), ("\r\n", True))]
+                files += [(rows[:k] + [odd] + rows[k:], "\n", k < 100)
+                          for k in (*range(8), 100)]
+                for lines, end, trailing in files:
+                    path.write_bytes((end.join(lines) + end * trailing).encode())
+                    serial = _per_line_outcome(path, kline)
+                    if odd in lines:
+                        assert serial == (MalformedRow, lines.index(odd) + 1)
+                    for split in (None, Pool(pool.executor, 2), pool):
+                        if odd in lines:  # the ranges fail; the per-line reader decides
+                            read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
+                        else:
+                            read = ingest._read_ranges(str(path), split, kline)
+                        _assert_same_outcome(read, serial)
+
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 # the magnitudes whose digits `csvrows` computes itself, and a little beyond

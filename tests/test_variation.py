@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotvar import VariationSeries, align, compute_variation
+from spotvar import VariationSeries, align, compute_variation, variation
 from spotvar.errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
 from spotvar.variation import AlignedTriple
 
@@ -78,6 +78,29 @@ class TestAlign:
         triple = align(legs())
         assert triple.times.tolist() == times[1:].tolist()
         assert triple.dropped == {"spot": 1, "num": 0, "den": 1}
+
+    @pytest.mark.parametrize("slice_rows", [1, 7, variation._SLICE])
+    def test_input_legs_are_left_untouched(self, monkeypatch, slice_rows):
+        """`align` compacts only its own copies of the kept columns, so no
+        input array changes, also when one leg is passed twice; and in
+        slices of 1 and 7 rows, where the gaps cross slice edges, the
+        result is the set intersection, as in one slice."""
+        monkeypatch.setattr(variation, "_SLICE", slice_rows)
+        rng = np.random.default_rng(11)
+        grid = minute_grid(T0, 300)
+        spot, num = (price_series(name, np.sort(rng.choice(grid, 250, replace=False)),
+                                  rng.uniform(1, 2, 250)) for name in ("spot", "num"))
+        before = [(leg.times.copy(), leg.closes.copy()) for leg in (spot, num)]
+        triple = align([spot, num, spot])
+        for leg, (times, closes) in zip((spot, num), before):
+            assert np.array_equal(leg.times, times) and np.array_equal(leg.closes, closes)
+        common = np.intersect1d(spot.times, num.times)
+        assert np.array_equal(triple.times, common)
+        for got, leg in zip((triple.spot, triple.num, triple.den), (spot, num, spot)):
+            assert np.array_equal(got, leg.closes[np.isin(leg.times, common)])
+        var = compute_variation(triple)
+        assert np.array_equal(var.values, np.log(triple.spot) - (np.log(triple.num)
+                                                                 - np.log(triple.den)))
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_three_legs_exactly(self, count):
