@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Checks that the `spotvar` console script reads legs split into byte ranges
-# as it reads them whole. Legs of 300,000 minutes (about 10 MB each, with
-# gaps, so align drops rows as it folds each leg in) are read in one range
-# at one worker and in one range per worker with a pool: two ranges, and an
-# odd split in three. Each range is parsed in blocks of 6 MB, each cut just
-# after a newline, so even one range spans at least two blocks. Three
-# copies of the legs must give the same variation: one with CRLF line ends,
-# whose CRLFs fall across the reads a block is copied in; one where every
-# 997th line ends in a bare carriage return, where numpy and the per-line
-# reader end a line too; and one with a blank line after every 1,009th
-# row, which numpy skips, so the ranges still parse it. A fourth copy,
-# headerless Binance kline rows of twelve fields (open = high = low =
-# close, a close time a minute on, computed by Python: not every awk
-# prints a 13-digit sum exactly), must give the same variation through the
-# kline reader.
+# Checks that the `spotvar` console script reads legs split into blocks as
+# it reads them whole. Each leg is cut once, in the command's own process,
+# into blocks of 8 MB, each cut just after a newline, whatever the worker
+# count. Legs of 300,000 minutes (about 10 MB each, with gaps, so align
+# drops rows as it folds each leg in) are two blocks each, parsed one after
+# another at one worker and on a pool of two or three. Three copies of the
+# legs must give the same variation: one with CRLF line ends, each cut
+# after a CRLF's newline; one where every 997th line ends in a bare
+# carriage return, where numpy and the per-line reader end a line too; and
+# one with a blank line after every 1,009th row, which numpy skips, so the
+# blocks still parse it. A fourth copy, headerless Binance kline rows of
+# twelve fields (open = high = low = close, a close time a minute on,
+# computed by Python: not every awk prints a 13-digit sum exactly), must
+# give the same variation through the kline reader.
 #
 # Usage: bash .github/split-legs.sh [scratch-dir]   (default: $RUNNER_TEMP)
 set -euo pipefail

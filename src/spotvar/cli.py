@@ -211,7 +211,7 @@ def _tables(var, cfg, out, tables, mhash="", pool=None):
         probes, ys = cfg["percentile_probes"], cfg["year_split"]
         table1 = _run("summary", percentiles, var, probes)
         slices = _run("summary", split_years, var, ys["epoch_start_ms"], ys["n_years"])
-        year_tables = [(s.label, percentiles(s.series, probes)) for s in slices if len(s.series)]
+        year_tables = [(s.label, percentiles(s.series, probes)) for s in slices]
         year_iqrs = [(label, _run("summary", iqr, t)) for label, t in year_tables]
         reports.percentile_table(table1, mhash).write(out)
         reports.yearwise_percentile_table(year_tables, mhash).write(out)

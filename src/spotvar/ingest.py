@@ -42,12 +42,13 @@ _KLINE = np.dtype([("t", np.int64), ("open", np.float64), ("high", np.float64),
                    ("close_time", np.int64)])
 # rows per slice of the search for gaps
 _GAP_SLICE = 1 << 16
-# bytes of a leg's byte range parsed per block, before the cut at a newline.
-# A pool worker's block buffer, freed, raises glibc's mmap threshold to its
-# size: above the 4.7 MB array that `csvrows.format_rows` allocates per job,
-# the `variation.csv` write reuses heap pages (at 4 MB blocks its workers
-# faulted 40k pages in again, more than the whole parse)
-_READ_BLOCK = 6 << 20
+# bytes of a file per job of the reader, before the cut at a newline. A
+# pool worker's block buffer, freed, raises glibc's mmap threshold to its
+# size, and its heap trim threshold to twice that: above the 4.7 MB array
+# that `csvrows.format_rows` allocates per job, so the `variation.csv`
+# write reuses heap pages. In the paper-scale write each worker faulted
+# 1.8k pages in after 8 MB blocks, and 46k after 6 MB or 4 MB blocks
+_READ_BLOCK = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class PriceSeries:
     @classmethod
     def from_csv(cls, path, symbol="", pool=None):
         """Read the file at `path`, a normalized `open_time_ms,close` CSV
-        (comment lines allowed), in byte ranges on `pool` if given."""
+        (comment lines allowed), in blocks parsed on `pool` if given."""
         return cls(symbol, *read_series_csv(path, pool))
 
 
@@ -119,16 +120,16 @@ def read_series_csv(path, pool=None, kline=False):
     quoting. A line that is not UTF-8 or not a row raises MalformedRow; a
     time outside the int64 range raises InvalidValue.
 
-    numpy's C parser reads the file in byte ranges (`_read_ranges`), one
-    per worker of `pool`, or one here without a pool. Each range is parsed
-    from its own bytes to its end, so every line reaches numpy, whatever
-    the worker count; a kline range's rows are then checked by column.
-    With its deprecation warnings raised as errors numpy accepts no input
-    the per-line reader rejects: numpy before 2.0 reads an integer field
-    such as `1.0`, `1e3` or one beyond int64 through a float and only
-    warns. If any range fails, or the file's size reads 0, as a pipe's
-    does, the per-line reader reads the file once, start to end, and
-    decides: what it accepts, and the error and line number it reports."""
+    numpy's C parser reads the file in blocks (`_read_ranges`), cut here
+    whatever the worker count and parsed on `pool`, or here without a
+    pool. Each block is parsed from its own bytes to its end, so every line
+    reaches numpy; a kline block's rows are then checked by column. With
+    its deprecation warnings raised as errors numpy accepts no input the
+    per-line reader rejects: numpy before 2.0 reads an integer field such
+    as `1.0`, `1e3` or one beyond int64 through a float and only warns. If
+    any block fails, or the file's size reads 0, as a pipe's does, the
+    per-line reader reads the file once, start to end, and decides: what it
+    accepts, and the error and line number it reports."""
     rows = _read_ranges(path, pool, kline) if os.path.getsize(path) else None
     if rows is not None:
         return rows
@@ -152,70 +153,62 @@ def _lone_cr(data):
 
 
 def _read_ranges(path, pool=None, kline=False):
-    """The rows of the seekable file at `path`, a kline CSV if `kline`,
-    parsed in one byte range per worker of `pool`, or without a pool in one
-    range, `[0, size)`, here; None if any range fails. The file is split at
-    equal shares of its size, each split moved to just after the next
-    newline. A range is parsed in blocks (`_parse_range`), so no process
-    holds its bytes or its rows.
+    """The rows of the seekable file at `path`, a kline CSV if `kline`, or
+    None if any block fails. The file is cut here into blocks of
+    `_READ_BLOCK` bytes, each cut moved to just after the next newline, so
+    the blocks depend on the file alone. Each block is one job
+    (`_parse_range`), on `pool` or here without one, so no process holds
+    the file's bytes or its rows.
 
-    Each range writes each block's times, then its values, to a file in a
+    Each job writes its block's times, then its values, to a file in a
     temporary directory, and this process reads them straight into the two
     columns. Sent back through the pool, they would arrive in pipe reads
     whose sizes depend on timing, and glibc's sliding mmap threshold then
     left this process's peak RSS at 246 or 304 MB from one paper-scale run
     to the next; a buffer larger than a column, freed, moves it too."""
     size = os.path.getsize(path)
-    n = pool.workers if pool is not None else 1
     bounds = [0]
     with open(path, "rb") as f:
-        for k in range(1, n):
-            f.seek(max(bounds[-1], size * k // n))
+        while bounds[-1] < size:
+            f.seek(bounds[-1] + _READ_BLOCK)
             f.readline()
-            bounds.append(f.tell())
-    bounds.append(size)
+            bounds.append(min(f.tell(), size))
     with tempfile.TemporaryDirectory() as tmp:
-        outs = [os.path.join(tmp, str(k)) for k in range(n)]
+        outs = [os.path.join(tmp, str(k)) for k in range(len(bounds) - 1)]
         jobs = zip(bounds, bounds[1:], outs)
-        blocks = list(pool_map(pool, partial(_parse_range, path, kline), jobs))
-        if None in blocks or not (rows := sum(map(sum, blocks))):
+        counts = list(pool_map(pool, partial(_parse_range, path, kline), jobs))
+        if None in counts or not (rows := sum(counts)):
             return None
         columns = np.empty(rows, np.int64), np.empty(rows, np.float64)
         at = 0
-        for out, counts in zip(outs, blocks):
+        for out, count in zip(outs, counts):
             with open(f"{out}.rows", "rb") as f:
-                for count in counts:
-                    if any(f.readinto(c[at:at + count]) != c.itemsize * count for c in columns):
-                        return None
-                    at += count
+                if any(f.readinto(c[at:at + count]) != c.itemsize * count for c in columns):
+                    return None
+            at += count
         return columns
 
 
 def _parse_range(path, kline, job):
-    """Parse the rows in bytes [start, end) of the file at `path`, a kline
+    """Parse the block of bytes [start, end) of the file at `path`, a kline
     CSV if `kline`, where `start` is 0 or follows a newline, and return the
-    count of rows of each block. The range's leading lines that `_skipped`
-    skips are dropped. The rest is parsed in blocks: each block,
-    `_READ_BLOCK` bytes and on to just after the next newline or to the
-    range's end, is copied verbatim to the file `out`, numpy parses the copy
-    to its end, and the block's times, then its values, are appended to the
-    file `out.rows`. Any line numpy cannot parse, the range's last
-    included, makes it fail. Neither the range's bytes nor its rows are
-    ever held whole.
+    count of its rows. The block's leading lines that `_skipped` skips are
+    dropped; the rest is copied verbatim to the file `out`, numpy parses
+    the copy to its end, the copy is deleted, and the rows' times, then
+    their values, are written to the file `out.rows`. Any line numpy cannot
+    parse, the block's last included, makes it fail.
 
     Returns None where the per-line reader must decide instead: a line
     numpy rejects, one `_skipped` cannot read, a kline row without positive,
     finite prices that pass `_kline_row`'s checks, or a lone carriage return
-    (`_lone_cr`) in a leading line. numpy opens each copy as text, with
+    (`_lone_cr`) in a leading line. numpy opens the copy as text, with
     Python's universal newlines, as the per-line reader opens the file, so
     both end a line at a CRLF, a newline or a lone carriage return; a block
     ends after a newline, so no CRLF is split between two blocks."""
     start, end, out = job
     dtype, usecols, _ = _FORMATS[kline]
-    counts = []
     try:
-        with (open(path, "rb") as f, open(out, "wb") as copy, open(f"{out}.rows", "wb") as rows,
-              warnings.catch_warnings()):
+        with open(path, "rb") as f, warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             # a block of blank lines parses to no rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -225,28 +218,21 @@ def _parse_range(path, kline, job):
                 if _lone_cr(line):
                     return None
                 line = f.readline(end - f.tell())
-            block = memoryview(bytearray(min(_READ_BLOCK, end - f.tell())))
-            while True:
-                # each block overwrites the last: truncating a file to 0 frees its disk blocks
-                copy.seek(0)
-                copy.write(line)  # the first line that is not skipped, in the first block
-                copy.write(block[:f.readinto(block[:end - f.tell()])])
-                copy.write(f.readline(end - f.tell()))
-                if not copy.tell():
-                    return counts
-                copy.truncate()  # flushed too
-                line = b""
-                parsed = np.loadtxt(out, dtype=dtype, delimiter=",", comments=None, ndmin=1,
-                                    encoding="utf-8", usecols=usecols)
-                if kline:  # low > 0 and high < inf bound the prices they bracket; nan fails all
-                    low, high, o, c = (parsed[k] for k in ("low", "high", "open", "v"))
-                    if not np.all((low > 0) & (high < np.inf) & (low <= np.minimum(o, c))
-                                  & (high >= np.maximum(o, c))
-                                  & (parsed["close_time"] > parsed["t"])):
-                        return None
-                for name in ("t", "v"):  # tofile writes a strided view slowly
-                    rows.write(np.ascontiguousarray(parsed[name]))
-                counts.append(len(parsed))
+            with open(out, "wb") as copy:
+                copy.write(line)  # the first line that is not skipped
+                copy.write(f.read(end - f.tell()))
+            parsed = np.loadtxt(out, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                                encoding="utf-8", usecols=usecols)
+            os.remove(out)
+        if kline:  # low > 0 and high < inf bound the prices they bracket; nan fails all
+            low, high, o, c = (parsed[k] for k in ("low", "high", "open", "v"))
+            if not np.all((low > 0) & (high < np.inf) & (low <= np.minimum(o, c))
+                          & (high >= np.maximum(o, c)) & (parsed["close_time"] > parsed["t"])):
+                return None
+        with open(f"{out}.rows", "wb") as rows:
+            for name in ("t", "v"):  # tofile writes a strided view slowly
+                rows.write(np.ascontiguousarray(parsed[name]))
+        return len(parsed)
     except (ValueError, OverflowError, DeprecationWarning, OSError):
         return None
 
@@ -332,8 +318,8 @@ def _warn_gaps(symbol, times):
 
 
 def read_leg(path, symbol, pool=None):
-    """Read one leg file as a PriceSeries, in byte ranges on `pool` if given
-    (`read_series_csv`). Its first line that is neither blank nor a `#`
+    """Read one leg file as a PriceSeries, in blocks parsed on `pool` if
+    given (`read_series_csv`). Its first line that is neither blank nor a `#`
     comment decides the format: seven or more comma-separated fields mean a
     Binance kline CSV, anything else a normalized `open_time_ms,close` CSV.
     A kline leg's rows are sorted by open time, and its gaps warn."""

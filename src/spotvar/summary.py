@@ -76,20 +76,22 @@ def split_years(series: VariationSeries, epoch_start_ms, n_years) -> list[YearSl
 
     Half-open intervals, boundary points go to the later year. Samples
     outside the nominal windows are clamped into the first/last slice so
-    every sample lands in exactly one slice.
+    every sample lands in exactly one slice. Only the years that hold
+    samples get a slice, so the cost follows the samples, not `n_years`.
     """
     check_n_years(n_years)
-    times, int64 = series.times, np.iinfo(np.int64)
-    # year k holds the sorted times from cut k to cut k + 1; the boundaries
-    # are Python ints, so neither they nor t - epoch wrap in int64
-    cuts = [0]
-    for k in range(1, n_years):
-        boundary = int(epoch_start_ms) + k * YEAR_MS
-        cuts.append(len(times) if boundary > int64.max
-                    else int(np.searchsorted(times, max(boundary, int64.min))))
-    cuts.append(len(times))
-    return [YearSlice(label=k + 1, series=VariationSeries(times[a:b], series.values[a:b]))
-            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    times, values, epoch = series.times, series.values, int(epoch_start_ms)
+    slices, a = [], 0
+    while a < len(times):
+        # the year of the first sample not yet placed; in Python ints neither
+        # it nor the boundary after it wraps in int64
+        k = min(max((int(times[a]) - epoch) // YEAR_MS, 0), n_years - 1)
+        boundary = epoch + (k + 1) * YEAR_MS
+        b = (len(times) if k == n_years - 1 or boundary > np.iinfo(np.int64).max
+             else int(np.searchsorted(times, boundary)))
+        slices.append(YearSlice(label=k + 1, series=VariationSeries(times[a:b], values[a:b])))
+        a = b
+    return slices
 
 
 def iqr(table: PercentileTable) -> float:

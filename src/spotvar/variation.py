@@ -65,7 +65,7 @@ class VariationSeries:
     @classmethod
     def from_csv(cls, path, pool=None):
         """Read the file at `path`, an `open_time_ms,variation` CSV (comment
-        lines allowed), in byte ranges on `pool` if given."""
+        lines allowed), in blocks parsed on `pool` if given."""
         return cls(*read_series_csv(path, pool))
 
 

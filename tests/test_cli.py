@@ -345,12 +345,13 @@ class TestReportCommand:
 
 class TestWorkers:
     """`--workers` changes how the work is split, never what is written or
-    reported. A pool parses every leg in byte ranges; run in process with
-    the write chunk patched small, so that even the sample legs are written
-    in chunks."""
+    reported. Run in process with the read block and the write chunk
+    patched small, so that even the sample legs, about 32 kB each, are read
+    in blocks of 8 kB and written in chunks."""
 
     @pytest.fixture
     def small_splits(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_READ_BLOCK", 8192)
         monkeypatch.setattr(ingest, "_WRITE_ROWS", 100)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -369,11 +370,11 @@ class TestWorkers:
 
     def test_malformed_leg_gives_the_same_error_at_any_worker_count(self, tmp_path, capsys,
                                                                     small_splits):
-        """A byte that is not UTF-8 in the last byte range, and a gzip file
-        under a `.gz` name, which is read as it is, not decompressed."""
+        """A byte that is not UTF-8 in the last block, and a gzip file under
+        a `.gz` name, which is read as it is, not decompressed."""
         num = SAMPLE_LEGS["num"].read_bytes()
         lines = num.splitlines(keepends=True)
-        lines[800] = lines[800].replace(b",", b"\xff,")  # in the last byte range
+        lines[800] = lines[800].replace(b",", b"\xff,")  # in the last block
         bad = {"num.csv": (b"".join(lines), 801), "num.csv.gz": (gzip.compress(num, mtime=0), 1)}
         for name, (data, line_no) in bad.items():
             legs = dict(SAMPLE_LEGS, num=tmp_path / name)
@@ -391,9 +392,9 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_blank_line_prints_nothing(self, tmp_path, capfd, small_splits, workers):
-        """A blank line inside a leg is skipped, in one range or in many:
-        nothing reaches stderr, in this process or a worker, and the rows
-        are the same."""
+        """A blank line inside a leg is skipped, in blocks parsed here or on
+        a pool: nothing reaches stderr, in this process or a worker, and
+        the rows are the same."""
         legs = {}
         for leg, path in SAMPLE_LEGS.items():
             lines = path.read_bytes().splitlines(keepends=True)

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import pickle
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import fstring_rows
 from spotvar import PriceSeries, VariationSeries, fetch_klines, ingest
 from spotvar.csvrows import format_rows
-from spotvar.parallel import Pool, fork_pool
+from spotvar.parallel import fork_pool
 from spotvar.errors import (
     EmptyInput,
     EmptyRange,
@@ -402,7 +403,7 @@ class TestFastReaderMatchesPerLine:
 
 def _rarely(usual, odd):
     """`odd` one time in twenty, else `usual`: most examples then hold files
-    that every byte range parses, so a range that reads too much shows."""
+    that every block parses, so a block that reads too much shows."""
     return st.integers(0, 19).flatmap(lambda k: usual if k else odd)
 
 
@@ -427,7 +428,7 @@ _RANGE_FILE = {kline: st.fixed_dictionaries({  # by format: kline or not
     "trailing_newline": _mostly(st.just(True), st.just(False)),
     "not_utf8_at": _rarely(st.none(), st.floats(0.5, 1.0)),  # a share of the file
     "name": _rarely(st.just("input.csv"), st.just("input.csv.gz")),
-    "workers": st.sampled_from([2, 3, 5]),
+    "blocks": st.sampled_from([1, 2, 3, 5, 40]),  # the block size is a share of the file
     "kline": st.just(kline),
 }) for kline in (False, True)}
 
@@ -440,14 +441,24 @@ def _rows(n, kline=False):
     return [f"{60_000 * k},{k / 7!r}" for k in range(n)]
 
 
-def _spec(lines, end="\n", workers=3, kline=False):
+def _spec(lines, end="\n", blocks=3, kline=False):
     return {"lines": lines, "end": end, "trailing_newline": True, "not_utf8_at": None,
-            "name": "input.csv", "workers": workers, "kline": kline}
+            "name": "input.csv", "blocks": blocks, "kline": kline}
+
+
+@contextmanager
+def _blocks(size):
+    """`read_series_csv` cuts files into blocks of `size` bytes, at least
+    one. The cuts are made in this process, so a pool forked before needs
+    no patch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_READ_BLOCK", max(1, size))
+        yield
 
 
 # a row, a lone carriage return and a row on the line at index 20 of 40, inside
-# the second of three ranges: numpy ends a line at the carriage return, as the
-# per-line reader does, and the ranges parse the file
+# the second of three blocks: numpy ends a line at the carriage return, as the
+# per-line reader does, and the blocks parse the file
 _LONE_CR_IN_RANGE = _rows(40)
 _LONE_CR_IN_RANGE[20] = "1200000,1.5\r1200001,2.5"
 
@@ -465,9 +476,10 @@ def _range_file(directory, spec):
 
 
 class TestRangeReader:
-    """With a pool, `read_series_csv` parses a file in one byte range per
-    worker. Whatever the text, it returns what the serial reader returns,
-    bit for bit, or raises the same error at the same line."""
+    """`read_series_csv` cuts a file into blocks, each parsed as one job, in
+    this process or on a pool. Whatever the text and wherever the cuts
+    fall, it returns what the serial reader returns, bit for bit, or raises
+    the same error at the same line."""
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -488,22 +500,26 @@ class TestRangeReader:
     @settings(max_examples=300, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
     def test_same_outcome_as_the_serial_reader(self, pool, scratch, specs):
-        """Also in one range, in this process. Each example is a normalized
-        and a kline file."""
+        """Read whole, and cut into blocks of a share of the file, in this
+        process and on the pool. Each example is a normalized and a kline
+        file."""
         for spec in specs:
             path, kline = _range_file(scratch, spec), spec["kline"]
-            split = Pool(pool.executor, spec["workers"])  # one range per worker
             serial = _per_line_outcome(path, kline)
             _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, kline=kline)),
                                  serial)
-            # the ranges' rows if they parse the file, else the serial reader's
-            _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, split, kline)),
-                                 serial)
+            # the blocks' rows if they parse the file, else the serial reader's
+            with _blocks(path.stat().st_size // spec["blocks"]):
+                for split in (None, pool):
+                    _assert_same_outcome(
+                        _outcome(lambda: ingest.read_series_csv(path, split, kline)), serial)
 
     def test_ranges_skip_blank_lines_without_reading_the_next_range(self, pool, tmp_path):
-        """Every range holds a blank line, which numpy skips: each range
-        returns its own rows, none of the next range's, and the file has
-        no trailing newline. Normalized and kline files."""
+        """Blank lines, which numpy skips, fall inside blocks and start
+        some: cut into blocks of 64 bytes, and of a fifth, a third and half
+        of the file, each block returns its own rows, none of the next
+        block's, and the file has no trailing newline. Normalized and kline
+        files, in this process and on the pool."""
         for kline in (False, True):
             lines = ["# leading comment", "open_time_ms,close"]
             for k, row in enumerate(_rows(300, kline)):
@@ -512,24 +528,32 @@ class TestRangeReader:
             path.write_text("\n".join(lines))  # no trailing newline
             serial = ingest.read_series_csv(path, kline=kline)
             assert len(serial[0]) == 300
-            for workers in (2, 3, 5):
-                ranges = ingest._read_ranges(str(path), Pool(pool.executor, workers), kline)
-                assert ranges is not None
-                _assert_same_outcome(ranges, serial)
+            size = path.stat().st_size
+            for block in (64, size // 5, size // 3, size // 2):
+                with _blocks(block):
+                    for split in (None, pool):
+                        ranges = ingest._read_ranges(str(path), split, kline)
+                        assert ranges is not None
+                        _assert_same_outcome(ranges, serial)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_line_without_a_comma_fails_wherever_it_is(self, pool, tmp_path, workers):
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_a_line_without_a_comma_fails_wherever_it_is(self, pool, tmp_path, blocks):
         """`abc` at every place in a file of 40 rows, normalized or kline,
-        read in byte ranges however they fall: the last line of a range and
-        of the file too."""
-        split = Pool(pool.executor, workers)
+        cut into `blocks` blocks of equal size, where `abc` is at times the
+        first line of a block, and cut so that `abc` ends the first block;
+        in this process and on the pool."""
         path = tmp_path / "abc.csv"
         for kline in (False, True):
-            rows = _rows(40, kline)
+            rows = [f"{row}\n" for row in _rows(40, kline)]
             for k in range(len(rows) + 1):
-                path.write_text("\n".join(rows[:k] + ["abc"] + rows[k:]) + "\n")
-                read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
-                _assert_same_outcome(read, (MalformedRow, k + 1))
+                head = "".join(rows[:k])
+                path.write_text(head + "abc\n" + "".join(rows[k:]))
+                # the search for the first cut starts on the first byte of `abc`
+                for block in (path.stat().st_size // blocks, len(head)):
+                    with _blocks(block):
+                        for split in (None, pool):
+                            read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
+                            _assert_same_outcome(read, (MalformedRow, k + 1))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"x", b"\r"])
     def test_a_failed_range_hands_the_file_to_the_serial_reader(self, pool, tmp_path, bad):
@@ -555,9 +579,11 @@ class TestRangeReader:
         ("\n\n", True),  # a run of three blank lines
     ])
     def test_an_odd_kline_line_wherever_it_is(self, pool, tmp_path, odd, in_ranges):
-        """One odd line at every place in a kline file of 12 rows, at 1, 2
-        and 3 workers, so at both edges of every range: the byte ranges
-        parse the file to the per-line reader's rows, or hand it over."""
+        """One odd line at every place in a kline file of 12 rows, read
+        whole and cut into blocks of a line, a half and a third of the
+        file, so at both edges of every block, in this process and on the
+        pool: the blocks parse the file to the per-line reader's rows, or
+        hand it over."""
         rows = _rows(12, kline=True)
         path = tmp_path / "odd.csv"
         for k in range(len(rows) + 1):
@@ -565,38 +591,46 @@ class TestRangeReader:
             line = odd.format(t=t, c=t + 29_999)
             path.write_text("\n".join(rows[:k] + [line] + rows[k:]) + "\n")
             serial = _per_line_outcome(path, kline=True)
-            for split in (None, Pool(pool.executor, 2), Pool(pool.executor, 3)):
-                ranges = ingest._read_ranges(str(path), split, kline=True)
-                if in_ranges:
-                    _assert_same_outcome(ranges, serial)
-                else:
-                    assert ranges is None
+            size = path.stat().st_size
+            for block in (size, 1, size // 2, size // 3):
+                with _blocks(block):
+                    for split in (None, pool):
+                        ranges = ingest._read_ranges(str(path), split, kline=True)
+                        if in_ranges:
+                            _assert_same_outcome(ranges, serial)
+                        else:
+                            assert ranges is None
             _assert_same_outcome(_outcome(lambda: ingest.read_series_csv(path, pool, True)),
                                  serial)
 
     def test_kline_rows_sorted_and_duplicates_rejected(self, pool, tmp_path):
-        """`read_leg` sorts the rows of a kline leg by open time at 1, 2 and
-        3 workers; a duplicate open time is NonMonotonicTimestamp."""
+        """`read_leg` sorts the rows of a kline leg by open time, read whole
+        and cut into blocks of a line and a third of the file, in this
+        process and on the pool; a duplicate open time is
+        NonMonotonicTimestamp."""
         rows = _rows(40, kline=True)
         order = np.random.default_rng(3).permutation(len(rows))
         shuffled, duplicate = tmp_path / "shuffled.csv", tmp_path / "duplicate.csv"
         shuffled.write_text("".join(f"{rows[i]}\n" for i in order))
         duplicate.write_text("".join(f"{row}\n" for row in rows[:30] + rows[29:]))
         want = _per_line_outcome(_range_file(tmp_path, _spec(rows, kline=True)), kline=True)
-        for split in (None, Pool(pool.executor, 2), Pool(pool.executor, 3)):
-            assert ingest._read_ranges(str(shuffled), split, kline=True) is not None
-            leg = ingest.read_leg(shuffled, "X", split)
-            _assert_same_outcome((leg.times, leg.closes), want)
-            with pytest.raises(NonMonotonicTimestamp):
-                ingest.read_leg(duplicate, "X", split)
+        size = shuffled.stat().st_size
+        for block in (size, 1, size // 3):
+            with _blocks(block):
+                for split in (None, pool):
+                    assert ingest._read_ranges(str(shuffled), split, kline=True) is not None
+                    leg = ingest.read_leg(shuffled, "X", split)
+                    _assert_same_outcome((leg.times, leg.closes), want)
+                    with pytest.raises(NonMonotonicTimestamp):
+                        ingest.read_leg(duplicate, "X", split)
 
     @pytest.mark.parametrize("head, end", [("# lone carriage return\r1,2.5\n", "\n"),
                                            ("open_time_ms,close\r\n", "\r\n")])
     def test_a_carriage_return_hands_the_file_to_the_serial_reader(self, pool, tmp_path,
                                                                     head, end):
         """Python and numpy end a line at a lone carriage return, the split
-        of a range's leading lines on newlines does not: the per-line reader
-        reads the file. A CRLF is one line end to all three, so the ranges
+        of a block's leading lines on newlines does not: the per-line reader
+        reads the file. A CRLF is one line end to all three, so the blocks
         parse the file."""
         path = tmp_path / "cr.csv"
         path.write_bytes((head + "".join(f"{60_000 * k},1.5{end}" for k in range(2, 300))).encode())
@@ -609,62 +643,90 @@ class TestRangeReader:
                 assert ranges is None
         _assert_same_outcome(ingest.read_series_csv(path, pool), serial)
 
+    def test_skipped_lines_at_the_start_of_a_later_block(self, monkeypatch, pool, tmp_path):
+        """A `# comment` and an `open_time_ms,close` line that start the
+        second block are dropped, as the per-line reader skips them, in
+        this process and on the pool. Where the last cut lands at the end of
+        a file of 40 rows, no job of no bytes follows it, and such a job
+        would parse to no rows."""
+        rows = [f"{row}\n" for row in _rows(40)]
+        head = "".join(rows[:20])
+        path = tmp_path / "skipped.csv"
+        path.write_text(head + "# comment\nopen_time_ms,close\n" + "".join(rows[20:]))
+        serial = _per_line_outcome(path)
+        assert len(serial[0]) == 40
+        with _blocks(len(head) - 1):  # the first cut follows the 20th row's newline
+            for split in (None, pool):
+                _assert_same_outcome(ingest._read_ranges(str(path), split), serial)
+
+        path.write_text("".join(rows))
+        serial = _per_line_outcome(path)
+        size, jobs, parse = path.stat().st_size, [], ingest._parse_range
+        monkeypatch.setattr(ingest, "_parse_range",
+                            lambda path, kline, job: jobs.append(job[:2]) or parse(path, kline, job))
+        # the search for the last cut starts at the last row, on its newline, at the end
+        for block in (size - len(rows[-1]), size - 1, size):
+            jobs.clear()
+            with _blocks(block):
+                _assert_same_outcome(ingest._read_ranges(str(path)), serial)
+            assert jobs == [(0, size)]
+        assert parse(str(path), False, (size, size, str(tmp_path / "empty"))) == 0
+
     @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_carriage_returns_on_block_boundaries(self, monkeypatch, tmp_path, block):
-        """Each range is copied verbatim in blocks of a few bytes, so a CRLF
-        and a lone carriage return fall on every block boundary. numpy ends
-        a line at both, as the per-line reader does: a CRLF file of 40
-        rows, and one where a lone carriage return ends any one of its
-        lines, parse in byte ranges to the per-line reader's rows, at 1, 2
-        and 3 workers."""
-        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+    def test_carriage_returns_on_block_boundaries(self, monkeypatch, pool, tmp_path, block):
+        """A CRLF file of 40 rows, and one where a lone carriage return
+        ends any one of its lines, parse to the per-line reader's rows, in
+        this process and on the pool: numpy ends a line at both, as the
+        per-line reader does. The file is cut into blocks of `24 + block`
+        bytes: from the start of a 26- to 28-byte line, the search for the
+        next cut starts on a CRLF's carriage return, on its newline, and on
+        or just after a lone carriage return, across the three blocks."""
+        monkeypatch.setattr(ingest, "_READ_BLOCK", 24 + block)
         rows = _rows(40)
-        with fork_pool(3) as pool:  # forked after the patch
-            for split in (None, Pool(pool.executor, 2), pool):
-                for k in (None, *range(len(rows))):  # the line that ends in a lone CR
-                    path = tmp_path / "cr.csv"
-                    path.write_bytes("".join(f"{row}\r" if i == k else f"{row}\r\n"
-                                             for i, row in enumerate(rows)).encode())
-                    serial = _per_line_outcome(path)
-                    assert len(serial[0]) == len(rows)
-                    _assert_same_outcome(ingest._read_ranges(str(path), split), serial)
+        for split in (None, pool):
+            for k in (None, *range(len(rows))):  # the line that ends in a lone CR
+                path = tmp_path / "cr.csv"
+                path.write_bytes("".join(f"{row}\r" if i == k else f"{row}\r\n"
+                                         for i, row in enumerate(rows)).encode())
+                serial = _per_line_outcome(path)
+                assert len(serial[0]) == len(rows)
+                _assert_same_outcome(ingest._read_ranges(str(path), split), serial)
 
     # numpy warns when a block holds only blank lines; the warning must not
     # reach stderr, and here it fails the test
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", [1, 64])
-    def test_blocks_parse_as_the_whole_range(self, monkeypatch, tmp_path, block):
-        """Each range is parsed in blocks of `block` bytes, each carried on
-        to just after the next newline, so 100 rows span many blocks. At 1,
-        2 and 3 workers the ranges give the per-line reader's rows for
-        normalized rows and for kline rows of 7 and 12 fields, with LF line
-        ends and no trailing newline, or CRLF line ends (a block's first
-        read can end inside a CRLF), and with a run of blank lines longer
-        than two blocks, so one block holds only blank lines. An odd line
-        near the first blocks' edges, or last in the file, is MalformedRow
-        at its line."""
+    def test_blocks_parse_as_the_whole_range(self, monkeypatch, pool, tmp_path, block):
+        """The file is cut into blocks of `block` bytes, each carried on to
+        just after the next newline, so 100 rows span many blocks. In this
+        process and on the pool the blocks give the per-line reader's rows
+        for normalized rows and for kline rows of 7 and 12 fields, with LF
+        line ends and no trailing newline, or CRLF line ends (the search
+        for a cut can start inside a CRLF), and with a run of blank lines
+        longer than two blocks, so one block holds only blank lines. An odd
+        line near the first blocks' edges, or last in the file, is
+        MalformedRow at its line."""
         monkeypatch.setattr(ingest, "_READ_BLOCK", block)
         path = tmp_path / "blocks.csv"
-        with fork_pool(3) as pool:  # forked after the patch
-            for kline, odd in ((False, "1,2,3"), (True, "60000,1,1,1,1,1.5")):
-                rows = _rows(100, kline)
-                if kline:  # every other row of seven fields
-                    rows[::2] = [",".join(row.split(",")[:7]) for row in rows[::2]]
-                files = [(rows[:60] + [""] * 140 + rows[60:], end, trailing)
-                         for end, trailing in (("\n", False), ("\r\n", True))]
-                files += [(rows[:k] + [odd] + rows[k:], "\n", k < 100)
-                          for k in (*range(8), 100)]
-                for lines, end, trailing in files:
-                    path.write_bytes((end.join(lines) + end * trailing).encode())
-                    serial = _per_line_outcome(path, kline)
-                    if odd in lines:
-                        assert serial == (MalformedRow, lines.index(odd) + 1)
-                    for split in (None, Pool(pool.executor, 2), pool):
-                        if odd in lines:  # the ranges fail; the per-line reader decides
-                            read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
-                        else:
-                            read = ingest._read_ranges(str(path), split, kline)
-                        _assert_same_outcome(read, serial)
+        for kline, odd in ((False, "1,2,3"), (True, "60000,1,1,1,1,1.5")):
+            rows = _rows(100, kline)
+            if kline:  # every other row of seven fields
+                rows[::2] = [",".join(row.split(",")[:7]) for row in rows[::2]]
+            files = [(rows[:60] + [""] * 140 + rows[60:], end, trailing)
+                     for end, trailing in (("\n", False), ("\r\n", True))]
+            files += [(rows[:k] + [odd] + rows[k:], "\n", k < 100)
+                      for k in (*range(8), 100)]
+            for lines, end, trailing in files:
+                path.write_bytes((end.join(lines) + end * trailing).encode())
+                serial = _per_line_outcome(path, kline)
+                if odd in lines:
+                    assert serial == (MalformedRow, lines.index(odd) + 1)
+                for split in (None, pool):
+                    if odd in lines:  # the blocks fail; the per-line reader decides
+                        read = _outcome(lambda: ingest.read_series_csv(path, split, kline))
+                    else:
+                        read = ingest._read_ranges(str(path), split, kline)
+                    _assert_same_outcome(read, serial)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)

@@ -120,11 +120,11 @@ def test_variation_holds_one_column_and_slice_scratch():
 
 
 def test_a_leg_is_read_without_holding_its_bytes(tmp_path):
-    """Without a pool a leg of 1M rows is parsed in one byte range, in
-    blocks of a few MB. A block's copy and rows are freed before the two
+    """Without a pool a leg of 1M rows is parsed here, in blocks of a few
+    MB, one after another. A block's copy and rows are freed before the two
     columns are allocated, so the reader peaks at the columns; the bound
     allows a quarter more. The file's own bytes are 2.1 column sizes, and
-    numpy's rows of the whole range with a contiguous copy of one column
+    numpy's rows of the whole file with a contiguous copy of one column
     1.5: a reader that holds either peaks above the bound."""
     rows = 1_000_000
     path = tmp_path / "leg.csv"
@@ -141,7 +141,7 @@ def test_a_kline_leg_costs_what_its_minutes_cost(monkeypatch, tmp_path):
     before the next block is parsed: without a pool, a kline leg peaks
     within a tenth of the same minutes in normalized form. The blocks are
     scaled to the legs: 50,000 minutes, 0.8 MB of columns, in blocks of
-    128 KB, as a paper-scale leg's 33.5 MB in blocks of 6 MB. Parsed whole,
+    128 KB; a paper-scale leg has 33.5 MB, in blocks of 8 MB. Parsed whole,
     the kline leg peaks at 2.7 times the normalized one."""
     monkeypatch.setattr(ingest, "_READ_BLOCK", 1 << 17)
     times = (T0 + MINUTE_MS * np.arange(50_000)).tolist()

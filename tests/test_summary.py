@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,19 @@ T0 = 1_504_224_000_000
 
 def _series(values, t0=T0):
     return VariationSeries(minute_grid(t0, len(values)), np.asarray(values, dtype=float))
+
+
+def _python_int_years(times, epoch, n_years):
+    """Each year that holds a time of the sorted `times`, as its 1-based
+    label and its times, computed in Python ints."""
+    years = {}
+    for t in map(int, times):
+        years.setdefault(min(max((t - epoch) // YEAR_MS, 0), n_years - 1) + 1, []).append(t)
+    return list(years.items())
+
+
+def _labelled(slices):
+    return [(s.label, s.series.times.tolist()) for s in slices]
 
 
 class TestPercentiles:
@@ -74,7 +89,7 @@ class TestSplitYears:
     def test_containment_single_year(self):
         series = _series(np.ones(100), t0=T0 + 30 * DAY_MS)
         slices = split_years(series, T0, 4)
-        assert [len(s.series) for s in slices] == [100, 0, 0, 0]
+        assert [(s.label, len(s.series)) for s in slices] == [(1, 100)]
 
     def test_boundary_points_go_to_later_year(self):
         boundary = T0 + YEAR_MS
@@ -101,31 +116,40 @@ class TestSplitYears:
         last = T0 + 4 * YEAR_MS + 2 * DAY_MS
         series = VariationSeries(np.array([T0, last]), np.array([0.1, 0.2]))
         slices = split_years(series, T0, 4)
-        assert slices[3].series.values.tolist() == [0.2]
+        assert slices[-1].label == 4
+        assert slices[-1].series.values.tolist() == [0.2]
 
 
     @pytest.mark.parametrize("epoch, expected", [
         # every minute lies more than four years after the epoch
-        (-9_223_372_036_854_775_000, [0, 0, 0, 100]),
-        (np.iinfo(np.int64).min, [0, 0, 0, 100]),
+        (-9_223_372_036_854_775_000, [(4, 100)]),
+        (np.iinfo(np.int64).min, [(4, 100)]),
         # every minute lies before it
-        (2**63 - 1, [100, 0, 0, 0]),
+        (2**63 - 1, [(1, 100)]),
     ])
     def test_epochs_at_the_ends_of_int64_do_not_wrap(self, epoch, expected):
         slices = split_years(_series(np.ones(100)), epoch, 4)
-        assert [len(s.series) for s in slices] == expected
+        assert [(s.label, len(s.series)) for s in slices] == expected
 
-    @given(st.integers(-(2**63), 2**63 - 1), st.integers(1, 6),
+    @given(st.integers(-(2**63), 2**63 - 1), st.integers(1, 6) | st.integers(7, 10**12),
            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50, unique=True))
     @settings(max_examples=200, deadline=None)
     def test_slices_match_python_integer_years(self, epoch, n_years, times):
         times = sorted(times)
         series = VariationSeries(np.array(times, dtype=np.int64), np.arange(len(times), dtype=float))
         slices = split_years(series, epoch, n_years)
-        year = [min(max((t - epoch) // YEAR_MS, 0), n_years - 1) for t in times]
-        assert [s.series.times.tolist() for s in slices] == [
-            [t for t, y in zip(times, year) if y == k] for k in range(n_years)
-        ]
+        assert _labelled(slices) == _python_int_years(times, epoch, n_years)
+
+    @pytest.mark.parametrize("epoch", [T0 - DAY_MS, np.iinfo(np.int64).min + 1])
+    def test_a_billion_years_cost_only_the_years_that_hold_data(self, epoch):
+        """Three years of daily samples split into 10**9 years take well
+        under a second: no slice is built for an empty year. With the epoch
+        near the int64 minimum the samples lie about 290,000 years on."""
+        series = VariationSeries(T0 + DAY_MS * np.arange(3 * 365), np.ones(3 * 365))
+        start = time.perf_counter()
+        slices = split_years(series, epoch, 10**9)
+        assert time.perf_counter() - start < 1
+        assert _labelled(slices) == _python_int_years(series.times, epoch, 10**9)
 
 
 class TestIqr:
