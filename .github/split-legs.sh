@@ -12,7 +12,11 @@
 # blocks still parse it. A fourth copy, headerless Binance kline rows of
 # twelve fields (open = high = low = close, a close time a minute on,
 # computed by Python: not every awk prints a 13-digit sum exactly), must
-# give the same variation through the kline reader.
+# give the same variation through the kline reader. Every variation must
+# equal, byte for byte, one computed here without spotvar: the closes at
+# the `np.intersect1d` of the legs' minutes, ln(spot) - (ln(num) - ln(den))
+# in that order, each row written as `f"{t},{v!r}"`; so a change in the
+# order of the fold's floating-point operations fails.
 #
 # Usage: bash .github/split-legs.sh [scratch-dir]   (default: $RUNNER_TEMP)
 set -euo pipefail
@@ -31,11 +35,25 @@ with open(sys.argv[2], "w") as out:
         out.write(f"{t},{c},{c},{c},{c},1.0,{int(t) + 59_999},0,1,0,0,0\n")
 ' "$tmp/legs/$leg.csv" "$tmp/klines/$leg.csv"
 done
+python3 -c '
+import sys
+import numpy as np
+def leg(name):
+    rows = [row.split(",") for row in open(f"{sys.argv[1]}/{name}.csv").read().splitlines()[1:]]
+    return np.array([int(t) for t, _ in rows]), np.array([float(c) for _, c in rows])
+legs = [leg(name) for name in ("spot", "num", "den")]
+common = np.intersect1d(np.intersect1d(legs[0][0], legs[1][0]), legs[2][0])
+s, n, d = (closes[np.isin(times, common)] for times, closes in legs)
+values = np.log(s) - (np.log(n) - np.log(d))
+with open(sys.argv[2], "w") as out:
+    out.write("open_time_ms,variation\n")
+    out.writelines(f"{t},{v!r}\n" for t, v in zip(common.tolist(), values.tolist()))
+' "$tmp/legs" "$tmp/expected-variation.csv"
 for w in 1 2 3; do
   for legs in legs crlf cr blank klines; do
     spotvar variation --spot "$tmp/$legs/spot.csv" --num "$tmp/$legs/num.csv" \
       --den "$tmp/$legs/den.csv" --workers "$w" --out "$tmp/$legs-variation$w.csv"
-    cmp "$tmp/legs-variation1.csv" "$tmp/$legs-variation$w.csv"
+    cmp "$tmp/expected-variation.csv" "$tmp/$legs-variation$w.csv"
   done
 done
 for w in 1 2; do

@@ -9,7 +9,7 @@ quantifies estimator accuracy with parametric Monte Carlo.
 __version__ = "0.1.0"
 
 from .ingest import PriceSeries, fetch_klines
-from .variation import AlignedTriple, VariationSeries, align, compute_variation
+from .variation import VariationSeries, align, compute_variation
 from .summary import PercentileTable, YearSlice, percentiles, split_years, iqr
 from .unitroot import AR1Fit, DFModel, DFResult, ar1_regression, df_test, critical_value
 from .ou import (
@@ -30,7 +30,6 @@ from .montecarlo import (
 __all__ = [
     "PriceSeries",
     "fetch_klines",
-    "AlignedTriple",
     "VariationSeries",
     "align",
     "compute_variation",

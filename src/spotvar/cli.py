@@ -30,10 +30,9 @@ from .ou import OUParams, log_likelihood, mle_fit, simulate_path
 from .parallel import fork_pool, usable_cores
 from .summary import check_n_years, iqr, percentiles, split_years, valid_probes
 from .unitroot import DFModel, df_test
-from .variation import VariationSeries, align, compute_variation
+from .variation import LEGS, VariationSeries, align, compute_variation
 from . import reports
 
-LEGS = ("spot", "num", "den")
 TABLES = ("summary", "df", "fit", "ci")
 
 
@@ -191,11 +190,12 @@ def _check_legs(paths):
 
 def _load_legs(paths, pool=None):
     """Load the legs, align them, take the variation. Returns the variation
-    and the rows each leg lost to the alignment. `align` reads each leg as
-    it folds it in, so one leg is held at a time."""
-    legs = (_run("load", PriceSeriesLoader, paths[leg], leg, pool) for leg in LEGS)
-    triple = _run("align", align, legs)
-    return _run("variation", compute_variation, triple), triple.dropped
+    and the rows each leg lost to the alignment. `align` calls each leg's
+    loader as it folds the leg in, so one leg is held at a time."""
+    legs = {leg: lambda leg=leg: _run("load", PriceSeriesLoader, paths[leg], leg, pool)
+            for leg in LEGS}
+    aligned = _run("align", align, legs)
+    return _run("variation", compute_variation, aligned), aligned.dropped
 
 
 def _tables(var, cfg, out, tables, mhash="", pool=None):

@@ -7,31 +7,28 @@ the whole point of the analysis is that empirically it is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyIntersection, InvalidValue, NonMonotonicTimestamp
 from .ingest import int64_times, read_series_csv, write_series_csv
 
-# rows per slice of the fold and of the variation, as in the AR(1) core
+# rows per slice of the fold, as in the AR(1) core
 # (`unitroot._DOT_SLICE`): a slice's scratch stays in cache
 _SLICE = 10_000
+LEGS = ("spot", "num", "den")
 
 
-@dataclass(frozen=True)
-class AlignedTriple:
-    """Three close-price legs restricted to their common timestamps.
-
-    `dropped` records how many timestamps each input lost to the
-    intersection, keyed "spot"/"num"/"den".
-    """
+class Aligned(NamedTuple):
+    """The minutes common to the three legs, the variation at each, and
+    how many minutes each leg lost to the intersection, keyed
+    "spot"/"num"/"den"."""
 
     times: np.ndarray
-    spot: np.ndarray
-    num: np.ndarray
-    den: np.ndarray
-    dropped: dict = field(default_factory=dict)
+    values: np.ndarray
+    dropped: dict
 
 
 @dataclass(frozen=True)
@@ -69,71 +66,65 @@ class VariationSeries:
         return cls(*read_series_csv(path, pool))
 
 
-def align(legs) -> AlignedTriple:
-    """Strict intersection of the timestamp sets of `legs`, an iterable of
-    the spot, num and den PriceSeries in that order; no interpolation.
+def align(legs) -> Aligned:
+    """Strict intersection of the timestamp sets of the legs, and the
+    variation at each common minute; no interpolation. `legs` maps "spot",
+    "num" and "den" to a PriceSeries or to a zero-argument loader of one.
 
-    Each leg is folded into the minutes common to the legs before it, then
-    released before the next is taken from `legs`, so a generator that
-    reads the legs on demand holds one at a time. The first leg's two
-    columns are copied, and every later fold compacts the kept columns in
-    place (`_fold`), so at the third fold this holds the three kept
-    columns, the one it fills and the leg; no input leg is written.
-    EmptyIntersection is raised only once every leg is taken: a later
-    leg's own error comes first."""
-    kept = []  # the common minutes, then each folded leg's closes at them
-    sizes, symbols = [], []
-    for leg in legs:
-        sizes.append(len(leg))
-        symbols.append(leg.symbol)
-        kept = _fold(kept, leg) if kept else [leg.times.copy(), leg.closes.copy()]
+    The legs are taken num, den, spot, and each is released before the
+    next is loaded, so loaders hold one leg at a time. num's minutes are
+    copied and its logs are the value column; den is folded in as
+    `column - ln(den)`, then spot as `ln(spot) - column`, so each value is
+    ln(spot) - (ln(num) - ln(den)), rounded as that formula is. The
+    quotient is a difference of logs so that all three legs round alike;
+    it differs from ln(num/den) by < 1e-14. Each fold compacts the two
+    kept columns in place (`_fold`), so this holds them and the leg being
+    folded; no input leg is written. EmptyIntersection is raised only
+    once every leg is taken: a later leg's own error comes first."""
+    if sorted(legs) != sorted(LEGS):
+        raise ValueError(f"align takes the spot, num and den legs, got {sorted(legs)}")
+    sizes, symbols = {}, {}
+    for name in ("num", "den", "spot"):
+        leg = legs[name]() if callable(legs[name]) else legs[name]
+        sizes[name], symbols[name] = len(leg), leg.symbol
+        if name == "num":
+            times, values = leg.times.copy(), np.log(leg.closes)
+        else:
+            rows = _fold(times, values, leg, spot=name == "spot")
+            times, values = times[:rows], values[:rows]
         del leg
-    if len(sizes) != 3:
-        raise ValueError(f"align takes the spot, num and den legs, got {len(sizes)}")
-    times = kept[0]
     if len(times) == 0:
-        raise EmptyIntersection(f"no common timestamps across {'/'.join(symbols)}")
-    dropped = {name: size - len(times) for name, size in zip(("spot", "num", "den"), sizes)}
-    return AlignedTriple(*kept, dropped=dropped)
+        names = "/".join(symbols[name] for name in LEGS)
+        raise EmptyIntersection(f"no common timestamps across {names}")
+    return Aligned(times, values, {name: sizes[name] - len(times) for name in LEGS})
 
 
-def _fold(kept, leg):
-    """The rows of the columns `kept`, whose first holds the minutes, at the
-    minutes `leg` holds too, and `leg`'s closes there as one more column.
-    The kept columns, this module's own arrays, are compacted in place, one
-    slice of _SLICE rows at a time: a slice is written at or before where
-    it was read, so no row is overwritten before it is read."""
-    closes = np.empty(len(kept[0]))
+def _fold(times, values, leg, spot):
+    """Compact `times` and `values`, this module's own arrays, in place to
+    the minutes `leg` holds too, each value combined with the log of `leg`'s
+    close there: `value - ln(close)`, or `ln(close) - value` if `spot`.
+    Returns the rows kept. One slice of _SLICE rows at a time: a slice is
+    written at or before where it was read, so no row is overwritten
+    before it is read."""
     at = 0
-    for start in range(0, len(closes), _SLICE):
-        minutes = kept[0][start:start + _SLICE]
+    for start in range(0, len(times), _SLICE):
+        minutes = times[start:start + _SLICE]
         # leg.times is strictly increasing: a kept minute is common when
         # the leg holds it where searchsorted would insert it; a minute
         # past the leg's end, clamped to its last index, misses there
         idx = np.searchsorted(leg.times, minutes)
         np.minimum(idx, len(leg) - 1, out=idx)
         hit = leg.times[idx] == minutes
-        idx = idx[hit]
-        for column in kept:
-            column[at:at + len(idx)] = column[start:start + _SLICE][hit]
-        closes[at:at + len(idx)] = leg.closes[idx]
-        at += len(idx)
-    return [column[:at] for column in (*kept, closes)]
+        logs, kept = np.log(leg.closes[idx[hit]]), values[start:start + _SLICE][hit]
+        values[at:at + len(logs)] = logs - kept if spot else kept - logs
+        times[at:at + len(logs)] = minutes[hit]
+        at += len(logs)
+    return at
 
 
-def compute_variation(triple: AlignedTriple) -> VariationSeries:
-    """values[i] = ln(spot[i]) - (ln(num[i]) - ln(den[i])).
-
-    The quotient leg is evaluated as a difference of logs so all three legs
-    round symmetrically; this differs from ln(num/den) by < 1e-14.
-    A price that is not positive and finite, which no PriceSeries holds,
-    gives a non-finite value: InvalidValue naming the row. The values are
-    formed one slice of _SLICE rows at a time into one array, so the only
-    scratch is a slice's logs.
-    """
-    values = np.empty(len(triple.times))
-    for start in range(0, len(values), _SLICE):
-        rows = slice(start, start + _SLICE)
-        values[rows] = np.log(triple.spot[rows]) - (np.log(triple.num[rows])
-                                                    - np.log(triple.den[rows]))
-    return VariationSeries(times=triple.times, values=values)
+def compute_variation(aligned: Aligned) -> VariationSeries:
+    """The VariationSeries of `align`'s result: its checks reject a value
+    that is not finite, naming the row. A separate call only so that the
+    benchmark's tracer times it apart from `align`; the per-stage trace of
+    ROADMAP item 2 lets it go."""
+    return VariationSeries(aligned.times, aligned.values)

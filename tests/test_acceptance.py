@@ -180,7 +180,7 @@ def test_criterion_7_full_dataset_reproduction():
         name: PriceSeries.from_csv(data_dir / f"{sym}.csv", sym)
         for name, sym in (("spot", "ETHBTC"), ("num", "ETHUSDT"), ("den", "BTCUSDT"))
     }
-    var = compute_variation(align(legs[name] for name in ("spot", "num", "den")))
+    var = compute_variation(align(legs))
     table = percentiles(var, [0, 25, 50, 75, 100])
 
     def sig2(x):

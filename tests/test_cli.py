@@ -133,6 +133,35 @@ class TestVariationCommand:
         assert len(err) == 1 and err[0].count("stage 'load'") == 1, err
         assert "line 7:" in err[0] and "align" not in err[0], err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_num_is_loaded_first(self, tmp_path, capsys, workers):
+        """`align` loads num, den, then spot: with spot and num both
+        malformed, num's line is reported."""
+        legs = dict(SAMPLE_LEGS)
+        for leg, row in (("spot", 4), ("num", 9)):
+            lines = SAMPLE_LEGS[leg].read_text().splitlines()
+            lines[row] = "12x,0.5"
+            legs[leg] = tmp_path / f"{leg}.csv"
+            legs[leg].write_text("\n".join(lines) + "\n")
+        argv = ["variation", *_leg_args(legs), "--workers", workers, "--out", str(tmp_path / "v")]
+        assert cli_entry(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].count("stage 'load'") == 1, err
+        assert "line 10:" in err[0], err
+
+    def test_unequal_drops_print_in_leg_order(self, tmp_path, capsys):
+        """The legs lose 5, 4 and 3 minutes to the alignment; `variation`
+        prints them keyed spot, num, den, whatever order they load in."""
+        legs = {}
+        for leg, cut in (("spot", {3}), ("num", {5, 6}), ("den", {8, 9, 10})):
+            lines = SAMPLE_LEGS[leg].read_text().splitlines(keepends=True)
+            legs[leg] = tmp_path / f"{leg}.csv"
+            legs[leg].write_text("".join(l for i, l in enumerate(lines) if i not in cut))
+        out = tmp_path / "v.csv"
+        assert cli_entry(["variation", *_leg_args(legs), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"994 aligned minutes -> {out} (dropped: {{'spot': 5, 'num': 4, 'den': 3}})\n")
+
     def test_disjoint_timestamps_fail_at_align(self, tmp_path, legs_dir):
         _, paths = legs_dir
         shifted = tmp_path / "shifted.csv"
@@ -148,6 +177,7 @@ class TestVariationCommand:
         )
         assert result.returncode == 3
         assert "align" in result.stderr
+        assert "no common timestamps across spot/num/den" in result.stderr
 
 
 LEGS = ("spot", "num", "den")

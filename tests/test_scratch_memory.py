@@ -1,10 +1,11 @@
 """The AR(1) core and the OU simulator hold no array as long as the path
 besides their input and `out`: every array they allocate is scratch for one
-slice of 10,000 rows. `align` holds one leg at a time and compacts its own
-columns slice by slice, and a leg's reader holds neither the file's bytes
-nor its rows, only one block's. numpy reports its buffers to `tracemalloc`,
-so the peak of traced memory during a call bounds what the call
-allocates."""
+slice of 10,000 rows. `align` holds one leg at a time beside two columns,
+the common minutes and the variation, which it compacts slice by slice;
+`compute_variation` adds only its checks; and a leg's reader holds neither
+the file's bytes nor its rows, only one block's. numpy reports its buffers
+to `tracemalloc`, so the peak of traced memory during a call bounds what
+the call allocates."""
 
 import gc
 import tracemalloc
@@ -82,41 +83,48 @@ def test_simulation_into_a_buffer_holds_slice_scratch():
     assert peak_path_lengths(lambda: simulate_path(PARAMS, 0.0, N, 1.0, rng_seed=4, out=buf)) < 0.5
 
 
+def _leg(name):
+    """A leg of N rows; num starts 1,000 minutes late, so each leg loses
+    1,000 minutes to the alignment."""
+    start = T0 + (1000 * MINUTE_MS if name == "num" else 0)
+    seed = ("spot", "num", "den").index(name)
+    return PriceSeries(name, np.arange(start, start + N * MINUTE_MS, MINUTE_MS),
+                       np.random.default_rng(seed).uniform(0.5, 2.0, N))
+
+
 def _legs():
-    """The spot, num and den legs of N rows, each built when it is taken;
-    num starts 1,000 minutes late, so the first fold drops rows."""
-    for k, name in enumerate(("spot", "num", "den")):
-        start = T0 + (1000 * MINUTE_MS if name == "num" else 0)
-        yield PriceSeries(name, np.arange(start, start + N * MINUTE_MS, MINUTE_MS),
-                          np.random.default_rng(k).uniform(0.5, 2.0, N))
+    """Loaders of the spot, num and den legs: each leg is built when
+    `align` takes it."""
+    return {name: lambda name=name: _leg(name) for name in ("spot", "num", "den")}
 
 
 def test_align_holds_one_leg_at_a_time():
-    """At the third fold `align` holds the three kept columns, the den
-    closes it fills and the den leg's two columns: six arrays of N float64
-    values, and slice scratch. Aligning and taking the variation peak at
-    6.1 arrays; the bound allows about two slices' scratch more. With all
-    three legs built first the peak is 11.2, with each leg held until the
-    next is built 8.1, and with each fold's boolean-index copies of whole
-    columns 7.5."""
-    triple = None
+    """While a leg is built and folded in, `align` holds the minutes and
+    the variation it keeps and the leg's two columns: four arrays of N
+    float64 values, the leg's checks and slice scratch. Aligning and taking
+    the variation peak at 4.4-4.8 arrays; the bound allows half an array
+    more. Keeping each leg's closes as a column until the variation is
+    taken peaks at 6.1-6.6; with each fold's boolean-index copies of whole
+    columns 7.5, with each leg held until the next is built 8.1, and with
+    all three legs built first 11.2."""
+    aligned = None
 
     def fold():
-        nonlocal triple
-        triple = align(_legs())
-        compute_variation(triple)
+        nonlocal aligned
+        aligned = align(_legs())
+        compute_variation(aligned)
 
-    assert peak_path_lengths(fold) < 6.5
-    assert triple.dropped == {"spot": 1000, "num": 1000, "den": 1000}
+    assert peak_path_lengths(fold) < 5.3
+    assert aligned.dropped == {"spot": 1000, "num": 1000, "den": 1000}
 
 
-def test_variation_holds_one_column_and_slice_scratch():
-    """Beside the aligned legs, `compute_variation` holds its values, one
-    column, a slice's logs, and the two boolean arrays, a quarter column,
-    of VariationSeries' finite check: 1.24 arrays of N float64 values.
-    Whole-column logs peak at 3.0."""
-    triple = align(_legs())
-    assert peak_path_lengths(lambda: compute_variation(triple)) < 1.5
+def test_variation_holds_only_its_checks():
+    """`compute_variation` wraps `align`'s columns in a VariationSeries,
+    whose checks hold two boolean arrays at once, a quarter column: 0.25
+    arrays of N float64 values. Forming the values there, slice by slice,
+    peaks at 1.24."""
+    aligned = align(_legs())
+    assert peak_path_lengths(lambda: compute_variation(aligned)) < 0.3
 
 
 def test_a_leg_is_read_without_holding_its_bytes(tmp_path):
