@@ -22,7 +22,6 @@ from .ou import (
 from .montecarlo import (
     McConfig,
     McSamples,
-    CIReport,
     sampling_distribution,
     confidence_intervals,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "mle_fit",
     "McConfig",
     "McSamples",
-    "CIReport",
     "sampling_distribution",
     "confidence_intervals",
 ]

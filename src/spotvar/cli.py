@@ -201,7 +201,8 @@ def _load_legs(paths, pool=None):
 def _tables(var, cfg, out, tables, mhash="", pool=None):
     """Write the `tables` subset of TABLES for `var` into `out`, under the
     resolved config `cfg`. Returns the DF results, fitted parameters and
-    intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"."""
+    intervals computed, keyed "df", "fit" (`mle_fit`'s triple) and "ci"
+    (`confidence_intervals`' bounds)."""
     dt = cfg["dt"]
     if "ci" in tables:  # before any work: a sample too short to simulate fails at once
         mc_cfg = _mc_config(cfg, len(var))
@@ -226,8 +227,8 @@ def _tables(var, cfg, out, tables, mhash="", pool=None):
         reports.ou_fit_table(params, trans, stats, loglik, dt, mhash).write(out)
     if "ci" in tables:
         samples = _run("montecarlo", sampling_distribution, params, mc_cfg, pool=pool)
-        done["ci"] = _run("montecarlo", confidence_intervals, samples, mc_cfg.confidence, params)
-        reports.ci_table(done["ci"], mhash).write(out)
+        done["ci"] = _run("montecarlo", confidence_intervals, samples, mc_cfg.confidence)
+        reports.ci_table(params, done["ci"], samples.n_failed, mc_cfg, mhash).write(out)
     return done
 
 
@@ -362,9 +363,10 @@ def simulate(alpha, mu, sigma, v0, steps, dt, seed, out):
 @_out_dir_option()
 def ci(input_path, workers, out_dir, **flags):
     """Fit, then Monte Carlo confidence intervals for the parameters."""
-    r = _slice(input_path, out_dir, ("ci",), workers=workers, **flags)["ci"]
-    for name in ("alpha", "mu", "sigma"):
-        click.echo(f"{name}: {r.point[name]:.6e} [{r.lower[name]:.6e}, {r.upper[name]:.6e}]")
+    done = _slice(input_path, out_dir, ("ci",), workers=workers, **flags)
+    params = done["fit"][0]
+    for name, (lower, upper) in done["ci"].items():
+        click.echo(f"{name}: {getattr(params, name):.6e} [{lower:.6e}, {upper:.6e}]")
 
 
 @main.command()

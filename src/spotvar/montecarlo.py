@@ -39,28 +39,13 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McSamples:
-    """Per-parameter estimate vectors across replications (failures excluded)."""
+    """Per-parameter estimate vectors across replications, in seed order
+    (failures excluded), and the number of replications that failed."""
 
     alpha: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    n_requested: int
     n_failed: int
-    master_seed: int
-
-
-@dataclass(frozen=True)
-class CIReport:
-    """Percentile-method bounds per parameter. Bounds need not bracket the
-    point estimate, but lower <= upper always holds."""
-
-    point: dict
-    lower: dict
-    upper: dict
-    confidence: float
-    replications: int
-    n_failed: int
-    master_seed: int
 
 
 # seeds per pool job; each job reuses one path buffer for all of them
@@ -104,35 +89,23 @@ def sampling_distribution(fitted: OUParams, cfg: McConfig, pool=None) -> McSampl
         raise TooManyFailures(
             f"{n_failed}/{cfg.replications} replications failed to fit"
         )
-    arr = np.array(ok)
-    return McSamples(
-        alpha=arr[:, 0],
-        mu=arr[:, 1],
-        sigma=arr[:, 2],
-        n_requested=cfg.replications,
-        n_failed=n_failed,
-        master_seed=cfg.master_seed,
-    )
+    alpha, mu, sigma = np.array(ok).T
+    return McSamples(alpha, mu, sigma, n_failed)
 
 
-def confidence_intervals(samples: McSamples, confidence, point: OUParams) -> CIReport:
-    """Empirical quantiles at (1-c)/2 and (1+c)/2 per parameter
-    (linear-interpolation quantiles, same method as the summary tables)."""
-    vectors = {"alpha": samples.alpha, "mu": samples.mu, "sigma": samples.sigma}
+def confidence_intervals(samples: McSamples, confidence) -> dict:
+    """Percentile-method bounds {"alpha": (lower, upper), "mu": ..., "sigma":
+    ...}: the empirical quantiles at (1-c)/2 and (1+c)/2 (linear interpolation,
+    as in the summary tables). lower <= upper always holds; the bounds need
+    not bracket the point estimate."""
     lo_q = 100 * (1 - confidence) / 2
     hi_q = 100 * (1 + confidence) / 2
-    lower, upper = {}, {}
-    for name, vec in vectors.items():
+    bounds = {}
+    for name in ("alpha", "mu", "sigma"):
+        vec = getattr(samples, name)
         if len(vec) < 2:
             raise InsufficientReplications(f"{name}: need >= 2 estimates")
-        lower[name] = float(np.percentile(vec, lo_q, method="linear"))
-        upper[name] = float(np.percentile(vec, hi_q, method="linear"))
-    return CIReport(
-        point={"alpha": point.alpha, "mu": point.mu, "sigma": point.sigma},
-        lower=lower,
-        upper=upper,
-        confidence=confidence,
-        replications=samples.n_requested,
-        n_failed=samples.n_failed,
-        master_seed=samples.master_seed,
-    )
+        lower = float(np.percentile(vec, lo_q, method="linear"))
+        upper = float(np.percentile(vec, hi_q, method="linear"))
+        bounds[name] = (lower, upper)
+    return bounds

@@ -155,16 +155,17 @@ def ou_fit_table(params, trans, stats, loglik, dt, manifest_hash=""):
     )
 
 
-def ci_table(report, manifest_hash=""):
+def ci_table(params, bounds, n_failed, mc_cfg, manifest_hash=""):
+    # bounds: `confidence_intervals`' {name: (lower, upper)} under `mc_cfg`
     rows = [
-        (name, report.point[name], report.lower[name], report.upper[name])
+        (name, getattr(params, name), *bounds[name])
         for name in ("alpha", "mu", "sigma")
     ]
     extra = {
-        "confidence": report.confidence,
-        "replications": f"{report.replications}",
-        "failures": f"{report.n_failed}",
-        "master_seed": f"{report.master_seed}",
+        "confidence": mc_cfg.confidence,
+        "replications": f"{mc_cfg.replications}",
+        "failures": f"{n_failed}",
+        "master_seed": f"{mc_cfg.master_seed}",
     }
     return TableWriter(
         "table6_confidence_intervals",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import spotvar
 from spotvar import OUParams, PriceSeries, VariationSeries, log_likelihood, simulate_path
-from spotvar.errors import InvalidParams
+from spotvar import montecarlo
+from spotvar.errors import DegenerateSeries, InvalidParams
 
 MINUTE_MS = 60_000
 EPOCH_MS = 1_504_224_000_000  # 2017-09-01 00:00 UTC
@@ -38,6 +40,22 @@ def run_python(code, env=None):
                             env=child_env(env))
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def fail_one_refit(monkeypatch, index):
+    """Make the Monte Carlo refit raise DegenerateSeries on its `index`-th
+    call (from 0) in this process, and fit as usual otherwise. With one
+    worker the replications run here in seed order, so exactly the seed of
+    that index fails."""
+    calls = itertools.count()
+    refit = montecarlo.mle_fit
+
+    def flaky(series, dt):
+        if next(calls) == index:
+            raise DegenerateSeries("forced")
+        return refit(series, dt)
+
+    monkeypatch.setattr(montecarlo, "mle_fit", flaky)
 
 
 def minute_grid(start_ms, n):

@@ -82,16 +82,17 @@ def test_criterion_3_mc_ci_reproduction_desk_scale():
     # n = 2e6 (times sqrt(10), +/-35%) and the mu interval entirely below 0.
     cfg = McConfig(replications=200, path_length=200_000, master_seed=2024)
     samples = sampling_distribution(TABLE5, cfg)
-    report = confidence_intervals(samples, 0.90, TABLE5)
-    width = report.upper["alpha"] - report.lower["alpha"]
+    bounds = confidence_intervals(samples, 0.90)
+    width = bounds["alpha"][1] - bounds["alpha"][0]
     expected = TABLE6_ALPHA_WIDTH * math.sqrt(10)
     assert abs(width - expected) / expected <= 0.35
-    assert report.upper["mu"] < 0 and report.lower["mu"] < 0
+    mu_lower, mu_upper = bounds["mu"]
+    assert mu_upper < 0 and mu_lower < 0
     _report(
         3,
         f"alpha CI width {width:.6f} vs scaling-consistent {expected:.6f} "
         f"(dev {abs(width / expected - 1):.1%} <= 35%); "
-        f"mu CI [{report.lower['mu']:.3e}, {report.upper['mu']:.3e}] < 0",
+        f"mu CI [{mu_lower:.3e}, {mu_upper:.3e}] < 0",
     )
 
 
@@ -131,9 +132,8 @@ def test_criterion_5_ci_coverage():
         fitted, _, _ = mle_fit(data, 1.0)
         cfg = McConfig(replications=reps, path_length=n, master_seed=200_000 + k)
         samples = sampling_distribution(fitted, cfg)
-        report = confidence_intervals(samples, 0.90, fitted)
-        for name in names:
-            covered[name] += report.lower[name] <= getattr(true, name) <= report.upper[name]
+        for name, (lower, upper) in confidence_intervals(samples, 0.90).items():
+            covered[name] += lower <= getattr(true, name) <= upper
     rates = {name: covered[name] / experiments for name in names}
     for name, rate in rates.items():
         assert 0.84 <= rate <= 0.96, f"{name}: coverage {rate:.1%}"
@@ -169,15 +169,16 @@ def test_criterion_6_summary_oracle_equivalence():
 @pytest.mark.skipif(
     not os.environ.get("SPOTVAR_DATA_DIR"),
     reason="criterion 7 is environment-dependent: set SPOTVAR_DATA_DIR to a "
-    "directory holding ETHBTC.csv/ETHUSDT.csv/BTCUSDT.csv (normalized 1m "
-    "closes, Sep 2017 - Aug 2021) to run the full-dataset reproduction",
+    "directory holding ETHBTC.csv/ETHUSDT.csv/BTCUSDT.csv (normalized or kline "
+    "1m CSVs, Sep 2017 - Aug 2021) to run the full-dataset reproduction",
 )
 def test_criterion_7_full_dataset_reproduction():
-    from spotvar import PriceSeries, align, compute_variation
+    from spotvar import align, compute_variation
+    from spotvar.ingest import read_leg
 
     data_dir = Path(os.environ["SPOTVAR_DATA_DIR"])
     legs = {
-        name: PriceSeries.from_csv(data_dir / f"{sym}.csv", sym)
+        name: read_leg(data_dir / f"{sym}.csv", sym)
         for name, sym in (("spot", "ETHBTC"), ("num", "ETHUSDT"), ("den", "BTCUSDT"))
     }
     var = compute_variation(align(legs))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spotvar.cli as cli
-from conftest import MINUTE_MS, child_env, fstring_rows
+from conftest import MINUTE_MS, child_env, fail_one_refit, fstring_rows
 from spotvar import OUParams, VariationSeries, errors, ingest, parallel, simulate_path
 from spotvar.cli import cli_entry
 
@@ -115,8 +115,9 @@ class TestVariationCommand:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bad_den_is_reported_before_an_empty_intersection(self, tmp_path, capsys, workers):
-        """`align` reads den after spot and num have no minute in common,
-        and den's own load error, not the empty intersection, is reported."""
+        """spot's minutes are shifted half a minute, so no minute is common
+        to the three legs; `align` reads num, den, then spot, and den's own
+        load error, not the empty intersection, is reported."""
         header, *rows = SAMPLE_LEGS["spot"].read_text().splitlines()
         spot = tmp_path / "spot.csv"
         spot.write_text("\n".join([header] + [
@@ -278,6 +279,21 @@ class TestPipelineCommands:
         assert result.returncode == 0, result.stderr
         payload = json.loads((tmp_path / "table6_confidence_intervals.json").read_text())
         assert payload["extra"]["replications"] == "20"
+        assert result.stdout == "".join(
+            f"{name}: {point:.6e} [{lower:.6e}, {upper:.6e}]\n"
+            for name, point, lower, upper in payload["rows"]
+        )
+
+    def test_ci_tolerates_one_failed_replication(self, tmp_path, monkeypatch, capsys):
+        """One refit of 100 raising is under the 1% limit: `ci` succeeds
+        and Table 6 counts it."""
+        fail_one_refit(monkeypatch, 36)
+        argv = ["ci", "--input", str(DATA / "golden_report" / "variation.csv"),
+                "--replications", "100", "--path-length", "300", "--workers", "1",
+                "--out-dir", str(tmp_path)]
+        assert cli_entry(argv) == 0, capsys.readouterr().err
+        text = (tmp_path / "table6_confidence_intervals.txt").read_text()
+        assert "\nreplications: 100\nfailures: 1\n" in text
 
 
 class TestReportCommand:

@@ -14,14 +14,14 @@ from spotvar.errors import InsufficientReplications, TooManyFailures
 from spotvar import montecarlo
 from spotvar.parallel import fork_pool
 
+from conftest import fail_one_refit
+
 FITTED = OUParams(0.845728, -2.424382e-05, 0.001703)
 
 
 def _samples(vec):
     arr = np.asarray(vec, dtype=float)
-    return McSamples(
-        alpha=arr, mu=arr, sigma=arr, n_requested=len(arr), n_failed=0, master_seed=0
-    )
+    return McSamples(alpha=arr, mu=arr, sigma=arr, n_failed=0)
 
 
 class TestSamplingDistribution:
@@ -75,6 +75,18 @@ class TestSamplingDistribution:
         with pytest.raises(TooManyFailures):
             sampling_distribution(FITTED, cfg)
 
+    def test_one_failure_in_100_is_tolerated(self, monkeypatch):
+        """A refit that raises for one seed of 100 is under the 1% limit: it
+        is counted, and the other 99 estimates are those of a run where it
+        does not raise, in seed order."""
+        cfg = McConfig(replications=100, path_length=300, master_seed=4)
+        clean = sampling_distribution(FITTED, cfg)
+        fail_one_refit(monkeypatch, 36)
+        samples = sampling_distribution(FITTED, cfg)
+        assert samples.n_failed == 1
+        for name in ("alpha", "mu", "sigma"):
+            assert np.array_equal(getattr(samples, name), np.delete(getattr(clean, name), 36))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(replications=1)
@@ -86,29 +98,23 @@ class TestSamplingDistribution:
 
 class TestConfidenceIntervals:
     def test_sort_based_quantile_oracle_1_to_100(self):
-        report = confidence_intervals(_samples(range(1, 101)), 0.90, FITTED)
-        assert report.lower["alpha"] == pytest.approx(5.95, abs=1e-12)
-        assert report.upper["alpha"] == pytest.approx(95.05, abs=1e-12)
+        lower, upper = confidence_intervals(_samples(range(1, 101)), 0.90)["alpha"]
+        assert lower == pytest.approx(5.95, abs=1e-12)
+        assert upper == pytest.approx(95.05, abs=1e-12)
 
     def test_degenerate_distribution(self):
-        report = confidence_intervals(_samples([3.0] * 10), 0.90, FITTED)
-        assert report.lower["mu"] == report.upper["mu"] == 3.0
+        assert confidence_intervals(_samples([3.0] * 10), 0.90)["mu"] == (3.0, 3.0)
 
     def test_lower_le_upper(self):
         rng = np.random.default_rng(5)
-        report = confidence_intervals(_samples(rng.normal(size=51)), 0.5, FITTED)
-        for name in ("alpha", "mu", "sigma"):
-            assert report.lower[name] <= report.upper[name]
+        bounds = confidence_intervals(_samples(rng.normal(size=51)), 0.5)
+        assert list(bounds) == ["alpha", "mu", "sigma"]
+        for lower, upper in bounds.values():
+            assert lower <= upper
 
     def test_insufficient_replications(self):
         with pytest.raises(InsufficientReplications):
-            confidence_intervals(_samples([1.0]), 0.9, FITTED)
-
-    def test_report_metadata(self):
-        report = confidence_intervals(_samples(range(10)), 0.90, FITTED)
-        assert report.confidence == 0.90
-        assert report.replications == 10
-        assert report.point["alpha"] == FITTED.alpha
+            confidence_intervals(_samples([1.0]), 0.9)
 
 
 def test_ci_width_shrinks_with_path_length():
@@ -116,6 +122,6 @@ def test_ci_width_shrinks_with_path_length():
     for n in (10_000, 100_000):
         cfg = McConfig(replications=100, path_length=n, master_seed=3)
         samples = sampling_distribution(FITTED, cfg)
-        report = confidence_intervals(samples, 0.90, FITTED)
-        widths.append(report.upper["alpha"] - report.lower["alpha"])
+        lower, upper = confidence_intervals(samples, 0.90)["alpha"]
+        widths.append(upper - lower)
     assert widths[0] > widths[1]
